@@ -519,6 +519,11 @@ class ReplayStats:
     rounds_replayed: int = 0
     rounds_recomputed: int = 0
 
+    def add(self, other: "ReplayStats") -> None:
+        """Add ``other``'s counters into these."""
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def as_extra(self, prefix: str = "replay_") -> dict[str, float]:
         return {
             f"{prefix}probes": float(self.probes),

@@ -64,27 +64,14 @@ def solve_fractional_muca(
         )
 
     lp = LinearProgram()
-    x_vars = [
-        lp.add_variable(objective=bid.value, lower=0.0, upper=1.0, name=f"x_{r}")
-        for r, bid in enumerate(instance.bids)
-    ]
+    lp.add_variables(num_bids, objective=[bid.value for bid in instance.bids], upper=1.0)
 
-    # One packing constraint per item: sum of accepted bids containing it.
-    bids_of_item: list[list[int]] = [[] for _ in range(num_items)]
-    for r, bid in enumerate(instance.bids):
-        for u in bid.bundle:
-            bids_of_item[u].append(r)
-
-    item_rows: list[int] = []
-    for u in range(num_items):
-        terms = {x_vars[r]: 1.0 for r in bids_of_item[u]}
-        if terms:
-            row = lp.add_le_constraint(terms, float(instance.multiplicities[u]))
-        else:
-            # An item no bid wants: add a trivial constraint so dual indexing
-            # stays aligned with item ids.
-            row = lp.add_le_constraint({}, float(instance.multiplicities[u]))
-        item_rows.append(row)
+    # One packing row per item: the accepted bids containing it.  An item no
+    # bid wants keeps an empty row so dual indexing stays aligned with item
+    # ids.
+    items = [u for bid in instance.bids for u in bid.bundle]
+    owners = [r for r, bid in enumerate(instance.bids) for _ in bid.bundle]
+    lp.add_le_rows(items, owners, np.ones(len(items)), instance.multiplicities)
 
     solution = solve_lp(lp, raise_on_failure=raise_on_failure)
 
@@ -96,8 +83,8 @@ def solve_fractional_muca(
             status=solution.status,
         )
 
-    fractions = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
-    item_duals = solution.ineq_duals[np.asarray(item_rows, dtype=np.int64)]
+    fractions = solution.x[:num_bids].copy()
+    item_duals = solution.ineq_duals[:num_items].copy()
     return FractionalMUCAResult(
         objective=float(solution.objective),
         fractions=fractions,

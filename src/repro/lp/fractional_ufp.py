@@ -8,7 +8,13 @@ through that arc, with flow conservation at every vertex other than the
 terminals and a per-request variable ``X_r in [0, 1]`` for the total routed
 fraction.  Capacities couple the requests: ``sum_r d_r * (flow of r on edge
 e) <= c_e``, where for an undirected edge both arc orientations count toward
-the same capacity.
+the same capacity.  Disabled edges (substrate faults) contribute no arcs,
+as in every shortest-path routine, but keep their capacity row so the
+duals stay indexed by edge id.
+
+The program is assembled from arrays: the conservation rows are one
+per-vertex pattern tiled across requests, the capacity rows one pattern
+broadcast over demands, and the results are read back by slicing.
 
 The objective ``max sum_r v_r X_r`` equals the optimum of the relaxation of
 the Figure 1 ILP, so it upper bounds the integral optimum — which is how
@@ -95,7 +101,6 @@ def solve_fractional_ufp(
     post-processing relies on their absence.
     """
     graph = instance.graph
-    n = graph.num_vertices
     m = graph.num_edges
     num_requests = instance.num_requests
 
@@ -110,76 +115,7 @@ def solve_fractional_ufp(
             status=SolverStatus.OPTIMAL,
         )
 
-    # Arc table: directed graphs use one arc per edge; undirected graphs two.
-    arc_tails: list[int] = []
-    arc_heads: list[int] = []
-    arc_edge: list[int] = []
-    for eid in range(m):
-        u, v = graph.edge_endpoints(eid)
-        arc_tails.append(u)
-        arc_heads.append(v)
-        arc_edge.append(eid)
-        if not graph.directed:
-            arc_tails.append(v)
-            arc_heads.append(u)
-            arc_edge.append(eid)
-    num_arcs = len(arc_edge)
-
-    lp = LinearProgram()
-
-    # Variables: X_r (routed fraction) then g_{r,a} (per-arc fractions).
-    x_upper = np.inf if repetitions else 1.0
-    x_vars = [
-        lp.add_variable(objective=req.value, lower=0.0, upper=x_upper, name=f"X_{r}")
-        for r, req in enumerate(instance.requests)
-    ]
-    g_vars = np.empty((num_requests, num_arcs), dtype=np.int64)
-    for r in range(num_requests):
-        g_upper = np.inf if repetitions else 1.0
-        for a in range(num_arcs):
-            g_vars[r, a] = lp.add_variable(
-                objective=0.0, lower=0.0, upper=g_upper, name=f"g_{r}_{a}"
-            )
-
-    # Flow conservation: out - in = X_r at the source, -X_r at the target,
-    # 0 elsewhere, for every request.
-    out_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    in_arcs_of: list[list[int]] = [[] for _ in range(n)]
-    for a in range(num_arcs):
-        out_arcs_of[arc_tails[a]].append(a)
-        in_arcs_of[arc_heads[a]].append(a)
-
-    for r, req in enumerate(instance.requests):
-        for v in range(n):
-            terms: dict[int, float] = {}
-            for a in out_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) + 1.0
-            for a in in_arcs_of[v]:
-                terms[int(g_vars[r, a])] = terms.get(int(g_vars[r, a]), 0.0) - 1.0
-            if v == req.source:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) - 1.0
-                lp.add_eq_constraint(terms, 0.0)
-            elif v == req.target:
-                terms[x_vars[r]] = terms.get(x_vars[r], 0.0) + 1.0
-                lp.add_eq_constraint(terms, 0.0)
-            else:
-                if terms:
-                    lp.add_eq_constraint(terms, 0.0)
-
-    # Capacity constraints per logical edge:
-    #     sum_r d_r * sum_{arcs a of e} g_{r,a} <= c_e.
-    capacity_rows: list[int] = []
-    arcs_of_edge: list[list[int]] = [[] for _ in range(m)]
-    for a in range(num_arcs):
-        arcs_of_edge[arc_edge[a]].append(a)
-    for eid in range(m):
-        terms = {}
-        for r, req in enumerate(instance.requests):
-            for a in arcs_of_edge[eid]:
-                terms[int(g_vars[r, a])] = req.demand
-        row = lp.add_le_constraint(terms, graph.edge_capacity(eid))
-        capacity_rows.append(row)
-
+    lp, live = _build_program(instance, repetitions=repetitions)
     solution: LPSolution = solve_lp(lp, raise_on_failure=raise_on_failure)
 
     if not solution.ok:
@@ -191,20 +127,108 @@ def solve_fractional_ufp(
             status=solution.status,
         )
 
-    routed = np.array([solution.x[i] for i in x_vars], dtype=np.float64)
+    # Per-edge flow: the edge's arcs summed left to right from 0.0, then
+    # scaled by the demand (undirected edges own two adjacent arc columns).
+    g = solution.x[num_requests:].reshape(num_requests, -1)
+    if graph.directed:
+        total = 0.0 + g
+    else:
+        total = 0.0 + g[:, 0::2] + g[:, 1::2]
+    demands = np.array([req.demand for req in instance.requests], dtype=np.float64)
     edge_flows = np.zeros((num_requests, m), dtype=np.float64)
-    for r, req in enumerate(instance.requests):
-        for eid in range(m):
-            total = 0.0
-            for a in arcs_of_edge[eid]:
-                total += float(solution.x[int(g_vars[r, a])])
-            edge_flows[r, eid] = req.demand * total
-    capacity_duals = solution.ineq_duals[np.asarray(capacity_rows, dtype=np.int64)]
+    edge_flows[:, live] = demands[:, None] * total
 
     return FractionalUFPResult(
         objective=float(solution.objective),
-        routed_fraction=routed,
+        routed_fraction=solution.x[:num_requests].copy(),
         edge_flows=edge_flows,
-        capacity_duals=capacity_duals,
+        capacity_duals=solution.ineq_duals[:m].copy(),
         status=solution.status,
     )
+
+
+def _build_program(
+    instance: UFPInstance, *, repetitions: bool
+) -> tuple[LinearProgram, np.ndarray]:
+    """Assemble the edge-flow LP of ``instance`` from arrays.
+
+    Returns the program and the ids of the live (not disabled) edges, whose
+    arcs — one per directed edge, two adjacent ones per undirected edge —
+    index the ``g`` block.  The layout is:
+
+    * variables: ``X_r`` for every request, then ``g_{r,a}`` request-major,
+      so ``g_{r,a}`` is column ``R + r*A + a``;
+    * one conservation row per (request, vertex), request-major, for every
+      vertex with a live arc plus the request's own terminals:
+      ``out - in - X_r = 0`` at the source, ``out - in + X_r = 0`` at the
+      target, ``out - in = 0`` elsewhere;
+    * one capacity row per edge id (empty for a disabled edge, so the duals
+      stay indexed by edge id): ``sum_r d_r * sum_{a of e} g_{r,a} <= c_e``.
+    """
+    graph = instance.graph
+    n = graph.num_vertices
+    m = graph.num_edges
+    requests = instance.requests
+    num_requests = len(requests)
+
+    disabled = graph.disabled_edges
+    live = np.array([e for e in range(m) if e not in disabled], dtype=np.int64)
+    ends = np.array([graph.edge_endpoints(int(e)) for e in live], dtype=np.int64)
+    ends = ends.reshape(-1, 2)
+    if graph.directed:
+        arc_tails, arc_heads, arc_edge = ends[:, 0], ends[:, 1], live
+    else:
+        arc_tails = ends.ravel()
+        arc_heads = ends[:, ::-1].ravel()
+        arc_edge = np.repeat(live, 2)
+    num_arcs = arc_edge.size
+
+    sources = np.array([req.source for req in requests], dtype=np.int64)
+    targets = np.array([req.target for req in requests], dtype=np.int64)
+    values = np.array([req.value for req in requests], dtype=np.float64)
+    demands = np.array([req.demand for req in requests], dtype=np.float64)
+
+    lp = LinearProgram()
+    upper = np.inf if repetitions else 1.0
+    lp.add_variables(num_requests, objective=values, upper=upper)
+    lp.add_variables(num_requests * num_arcs, upper=upper)
+
+    # g columns, shape (R, A): request-major offset plus the arc index.
+    g_cols = num_requests + (
+        np.arange(num_requests, dtype=np.int64)[:, None] * num_arcs
+        + np.arange(num_arcs, dtype=np.int64)
+    )
+    request_ids = np.arange(num_requests, dtype=np.int64)
+
+    # Conservation: the per-vertex template (which vertices carry a row)
+    # tiled over requests, plus each request's terminal rows.
+    has_row = np.zeros((num_requests, n), dtype=bool)
+    has_row[:, arc_tails] = True
+    has_row[:, arc_heads] = True
+    has_row[request_ids, sources] = True
+    has_row[request_ids, targets] = True
+    row_of = np.cumsum(has_row).reshape(num_requests, n) - 1
+    num_rows = int(row_of[-1, -1]) + 1
+    rows = np.concatenate((
+        row_of[:, arc_tails].ravel(),
+        row_of[:, arc_heads].ravel(),
+        row_of[request_ids, sources],
+        row_of[request_ids, targets],
+    ))
+    cols = np.concatenate((g_cols.ravel(), g_cols.ravel(), request_ids, request_ids))
+    vals = np.concatenate((
+        np.ones(g_cols.size),
+        np.full(g_cols.size, -1.0),
+        np.full(num_requests, -1.0),
+        np.ones(num_requests),
+    ))
+    lp.add_eq_rows(rows, cols, vals, np.zeros(num_rows))
+
+    # Capacity: row e collects d_r on every g_{r,a} with a an arc of e.
+    lp.add_le_rows(
+        np.broadcast_to(arc_edge, g_cols.shape).ravel(),
+        g_cols.ravel(),
+        np.broadcast_to(demands[:, None], g_cols.shape).ravel(),
+        graph.capacities,
+    )
+    return lp, live

@@ -1,9 +1,10 @@
 """A small sparse linear-program builder.
 
 The builder exists so that LP assembly code reads like the mathematical
-formulation (named variables, one constraint per call) while the matrices
-handed to the solver are sparse CSR from the start — per the hpc-parallel
-guides, no dense intermediate is ever materialized.
+formulation — one constraint per call, or a whole block of rows as COO
+arrays when a formulation tiles one pattern many times — while the
+matrices handed to the solver are sparse CSR from the start; no dense
+intermediate is ever materialized.
 
 The canonical form used internally is::
 
@@ -63,9 +64,75 @@ class LPSolution:
         return self.x[np.asarray(indices, dtype=np.int64)]
 
 
+def _concat(chunks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+@dataclass
+class _RowBlock:
+    """The rows of one constraint sense, stored as COO chunks.
+
+    Row indices are absolute; entries with a zero coefficient are dropped on
+    the way in, so the assembled CSR matrix holds only structural nonzeros.
+    """
+
+    rows: list[np.ndarray] = field(default_factory=list)
+    cols: list[np.ndarray] = field(default_factory=list)
+    vals: list[np.ndarray] = field(default_factory=list)
+    rhs: list[np.ndarray] = field(default_factory=list)
+    count: int = 0
+
+    def add(self, rows, cols, vals, rhs, num_variables: int) -> range:
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
+        rhs = np.array(rhs, dtype=np.float64, ndmin=1)
+        if not rows.shape == cols.shape == vals.shape or rows.ndim != 1:
+            raise LPSolveError("row, column and value arrays must be 1-D and aligned")
+        if cols.size:
+            if cols.min() < 0 or cols.max() >= num_variables:
+                bad = cols[(cols < 0) | (cols >= num_variables)][0]
+                raise LPSolveError(f"unknown variable index {bad}")
+            if rows.min() < 0 or rows.max() >= rhs.size:
+                raise LPSolveError(f"row index out of range for {rhs.size} row(s)")
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        start = self.count
+        rows += start
+        self.rows.append(rows)
+        self.cols.append(cols)
+        self.vals.append(vals)
+        self.rhs.append(rhs)
+        self.count += rhs.size
+        return range(start, self.count)
+
+    def assemble(self, num_variables: int):
+        if not self.count:
+            return None, None
+        matrix = sparse.coo_matrix(
+            (
+                np.concatenate(self.vals),
+                (np.concatenate(self.rows), np.concatenate(self.cols)),
+            ),
+            shape=(self.count, num_variables),
+        ).tocsr()
+        return matrix, np.concatenate(self.rhs)
+
+
+def _single_row(terms: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    k = len(terms)
+    cols = np.fromiter(terms.keys(), dtype=np.int64, count=k)
+    vals = np.fromiter(terms.values(), dtype=np.float64, count=k)
+    return np.zeros(k, dtype=np.int64), cols, vals
+
+
 @dataclass
 class LinearProgram:
     """Incrementally build a sparse LP in maximization form.
+
+    Variables and rows can be added one at a time or as whole blocks of
+    arrays; both land in the same chunked array storage.
 
     Examples
     --------
@@ -78,34 +145,27 @@ class LinearProgram:
     3.0
     """
 
-    _objective: list[float] = field(default_factory=list)
-    _lower: list[float] = field(default_factory=list)
-    _upper: list[float] = field(default_factory=list)
-    _names: list[str] = field(default_factory=list)
-    # COO triplets for <= and == constraints.
-    _ub_rows: list[int] = field(default_factory=list)
-    _ub_cols: list[int] = field(default_factory=list)
-    _ub_vals: list[float] = field(default_factory=list)
-    _ub_rhs: list[float] = field(default_factory=list)
-    _eq_rows: list[int] = field(default_factory=list)
-    _eq_cols: list[int] = field(default_factory=list)
-    _eq_vals: list[float] = field(default_factory=list)
-    _eq_rhs: list[float] = field(default_factory=list)
+    _objective: list[np.ndarray] = field(default_factory=list)
+    _lower: list[np.ndarray] = field(default_factory=list)
+    _upper: list[np.ndarray] = field(default_factory=list)
+    _num_variables: int = 0
+    _ub: _RowBlock = field(default_factory=_RowBlock)
+    _eq: _RowBlock = field(default_factory=_RowBlock)
 
     # ------------------------------------------------------------------ #
     # Building
     # ------------------------------------------------------------------ #
     @property
     def num_variables(self) -> int:
-        return len(self._objective)
+        return self._num_variables
 
     @property
     def num_le_constraints(self) -> int:
-        return len(self._ub_rhs)
+        return self._ub.count
 
     @property
     def num_eq_constraints(self) -> int:
-        return len(self._eq_rhs)
+        return self._eq.count
 
     def add_variable(
         self,
@@ -113,16 +173,9 @@ class LinearProgram:
         objective: float = 0.0,
         lower: float = 0.0,
         upper: float = np.inf,
-        name: str = "",
     ) -> int:
         """Add a variable and return its index."""
-        if lower > upper:
-            raise LPSolveError(f"variable bounds [{lower}, {upper}] are empty")
-        self._objective.append(float(objective))
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._names.append(name or f"x{len(self._objective) - 1}")
-        return len(self._objective) - 1
+        return self.add_variables(1, objective=objective, lower=lower, upper=upper)[0]
 
     def add_variables(
         self,
@@ -131,48 +184,42 @@ class LinearProgram:
         objective: float | Sequence[float] = 0.0,
         lower: float = 0.0,
         upper: float = np.inf,
-        prefix: str = "x",
     ) -> list[int]:
         """Add ``count`` variables sharing bounds; returns their indices."""
+        if lower > upper:
+            raise LPSolveError(f"variable bounds [{lower}, {upper}] are empty")
         if np.isscalar(objective):
-            objective = [float(objective)] * count
-        objective = list(objective)
-        if len(objective) != count:
-            raise LPSolveError("objective vector length mismatch")
-        return [
-            self.add_variable(objective=objective[i], lower=lower, upper=upper,
-                              name=f"{prefix}{i}")
-            for i in range(count)
-        ]
+            obj = np.full(count, float(objective))
+        else:
+            obj = np.array(objective, dtype=np.float64)
+            if obj.shape != (count,):
+                raise LPSolveError("objective vector length mismatch")
+        start = self._num_variables
+        self._objective.append(obj)
+        self._lower.append(np.full(count, float(lower)))
+        self._upper.append(np.full(count, float(upper)))
+        self._num_variables += count
+        return list(range(start, self._num_variables))
 
-    def _check_terms(self, terms: Mapping[int, float]) -> None:
-        for var in terms:
-            if not 0 <= int(var) < self.num_variables:
-                raise LPSolveError(f"unknown variable index {var}")
+    def add_le_rows(self, rows, cols, vals, rhs) -> range:
+        """Add the block ``A @ x <= rhs`` given as COO triplets.
+
+        ``rows`` index into ``rhs`` (0-based within the block), ``cols`` are
+        variable indices; returns the constraint row indices of the block.
+        """
+        return self._ub.add(rows, cols, vals, rhs, self._num_variables)
+
+    def add_eq_rows(self, rows, cols, vals, rhs) -> range:
+        """Add the block ``A @ x == rhs``; see :meth:`add_le_rows`."""
+        return self._eq.add(rows, cols, vals, rhs, self._num_variables)
 
     def add_le_constraint(self, terms: Mapping[int, float], rhs: float) -> int:
         """Add ``sum_j terms[j] * x_j <= rhs``; returns the constraint row index."""
-        self._check_terms(terms)
-        row = len(self._ub_rhs)
-        for var, coeff in terms.items():
-            if coeff != 0.0:
-                self._ub_rows.append(row)
-                self._ub_cols.append(int(var))
-                self._ub_vals.append(float(coeff))
-        self._ub_rhs.append(float(rhs))
-        return row
+        return self.add_le_rows(*_single_row(terms), (rhs,))[0]
 
     def add_eq_constraint(self, terms: Mapping[int, float], rhs: float) -> int:
         """Add ``sum_j terms[j] * x_j == rhs``; returns the constraint row index."""
-        self._check_terms(terms)
-        row = len(self._eq_rhs)
-        for var, coeff in terms.items():
-            if coeff != 0.0:
-                self._eq_rows.append(row)
-                self._eq_cols.append(int(var))
-                self._eq_vals.append(float(coeff))
-        self._eq_rhs.append(float(rhs))
-        return row
+        return self.add_eq_rows(*_single_row(terms), (rhs,))[0]
 
     # ------------------------------------------------------------------ #
     # Assembly / solving
@@ -181,29 +228,25 @@ class LinearProgram:
         """Return the assembled sparse matrices and vectors.
 
         Keys: ``c`` (maximization objective), ``A_ub``, ``b_ub``, ``A_eq``,
-        ``b_eq``, ``bounds`` (list of ``(lb, ub)`` pairs).  Empty constraint
-        blocks are returned as ``None`` to match :func:`scipy.optimize.linprog`.
+        ``b_eq`` and ``bounds`` (an ``(n, 2)`` array of ``(lb, ub)`` rows).
+        The matrices are canonical CSR (sorted column indices, no explicit
+        zeros).  Empty constraint blocks are returned as ``None`` to match
+        :func:`scipy.optimize.linprog`.
         """
-        n = self.num_variables
-        c = np.asarray(self._objective, dtype=np.float64)
-        A_ub = None
-        b_ub = None
-        if self._ub_rhs:
-            A_ub = sparse.coo_matrix(
-                (self._ub_vals, (self._ub_rows, self._ub_cols)),
-                shape=(len(self._ub_rhs), n),
-            ).tocsr()
-            b_ub = np.asarray(self._ub_rhs, dtype=np.float64)
-        A_eq = None
-        b_eq = None
-        if self._eq_rhs:
-            A_eq = sparse.coo_matrix(
-                (self._eq_vals, (self._eq_rows, self._eq_cols)),
-                shape=(len(self._eq_rhs), n),
-            ).tocsr()
-            b_eq = np.asarray(self._eq_rhs, dtype=np.float64)
-        bounds = list(zip(self._lower, self._upper))
-        return {"c": c, "A_ub": A_ub, "b_ub": b_ub, "A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
+        n = self._num_variables
+        A_ub, b_ub = self._ub.assemble(n)
+        A_eq, b_eq = self._eq.assemble(n)
+        bounds = np.column_stack(
+            (_concat(self._lower), _concat(self._upper))
+        )
+        return {
+            "c": _concat(self._objective),
+            "A_ub": A_ub,
+            "b_ub": b_ub,
+            "A_eq": A_eq,
+            "b_eq": b_eq,
+            "bounds": bounds,
+        }
 
     def solve(self, **solver_options) -> LPSolution:
         """Solve the LP with HiGHS; see :func:`repro.lp.solver.solve_lp`."""

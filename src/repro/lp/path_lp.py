@@ -158,37 +158,29 @@ def solve_path_lp(
         )
 
     last_solution = None
-    capacity_rows: list[int] = []
-    request_rows: list[int] = []
     iterations = 0
 
     for iterations in range(1, max_iterations + 1):
         # Build and solve the restricted master problem.
         lp = LinearProgram()
-        col_vars = [
-            lp.add_variable(
-                objective=instance.requests[col.request_index].value,
-                lower=0.0,
-                upper=np.inf,
-                name=f"x_s{ci}",
-            )
-            for ci, col in enumerate(columns)
-        ]
-        capacity_rows = []
-        for eid in range(m):
-            terms = {}
-            for ci, col in enumerate(columns):
-                if eid in col.edge_ids:
-                    terms[col_vars[ci]] = instance.requests[col.request_index].demand
-            capacity_rows.append(lp.add_le_constraint(terms, graph.edge_capacity(eid)))
-        request_rows = []
-        for r in range(num_requests):
-            terms = {
-                col_vars[ci]: 1.0
-                for ci, col in enumerate(columns)
-                if col.request_index == r
-            }
-            request_rows.append(lp.add_le_constraint(terms, 1.0))
+        owners = [instance.requests[col.request_index] for col in columns]
+        lp.add_variables(
+            len(columns), objective=[req.value for req in owners], upper=np.inf
+        )
+        # Capacity rows: d_r on every column whose path uses the edge.
+        capacity_rows = lp.add_le_rows(
+            [e for col in columns for e in col.edge_ids],
+            [ci for ci, col in enumerate(columns) for _ in col.edge_ids],
+            [req.demand for req, col in zip(owners, columns) for _ in col.edge_ids],
+            graph.capacities,
+        )
+        # Request rows: the columns of request r share X_r <= 1.
+        request_rows = lp.add_le_rows(
+            [col.request_index for col in columns],
+            np.arange(len(columns)),
+            np.ones(len(columns)),
+            np.ones(num_requests),
+        )
 
         last_solution = solve_lp(lp, raise_on_failure=raise_on_failure)
         if not last_solution.ok:

@@ -32,7 +32,7 @@ import numpy as np
 from repro import parallel
 from repro.auctions.allocation import MUCAAllocation
 from repro.auctions.instance import MUCAInstance
-from repro.core.trace import TraceRecorder, make_replayer, supports_trace
+from repro.core.trace import ReplayStats, TraceRecorder, make_replayer, supports_trace
 from repro.exceptions import MechanismError
 from repro.flows.allocation import Allocation
 from repro.flows.instance import UFPInstance
@@ -267,6 +267,14 @@ def _trace_critical_value_muca(
     )
 
 
+def _export_replay_stats(sink: dict | ReplayStats | None, stats: ReplayStats) -> None:
+    """Hand a finished replayer's counters to the caller's ``replay_stats``."""
+    if isinstance(sink, ReplayStats):
+        sink.add(stats)
+    elif sink is not None:
+        sink.update(stats.as_extra())
+
+
 def _record_base_run(algorithm, instance, expected_winners: set[int] | None):
     """Run ``algorithm`` once with trace recording and build a replayer.
 
@@ -340,7 +348,7 @@ def compute_ufp_payments(
     verify_winners: bool = False,
     jobs: int | None = None,
     use_trace: bool = False,
-    replay_stats: dict | None = None,
+    replay_stats: dict | ReplayStats | None = None,
 ) -> np.ndarray:
     """Critical-value payments for every request (losers pay zero).
 
@@ -386,10 +394,11 @@ def compute_ufp_payments(
         winner set is checked against ``allocation`` for free, so a
         mismatched pair raises loudly even without ``verify_winners``.
     replay_stats:
-        Optional dict that receives the replayer's work counters
-        (``replay_probes``, ``replay_rounds_skipped``, ...) after a traced
-        run — experiment cells surface these in ``RunStats.extra``-style
-        rows.  Left untouched when tracing is off or unavailable.  The
+        Optional sink for the replayer's work counters after a traced run:
+        a dict receives them as ``replay_probes``, ``replay_rounds_skipped``,
+        ... (experiment cells surface these in ``RunStats.extra``-style
+        rows); a :class:`~repro.core.trace.ReplayStats` has them added to
+        its counters.  Left untouched when tracing is off or unavailable.  The
         counters are accumulated in *this* process: under ``jobs > 1`` the
         probes run in forked workers whose copies of the replayer are
         discarded, so the counters read (near) zero — use ``jobs=1`` when
@@ -414,8 +423,7 @@ def compute_ufp_payments(
             )
             for idx, value in zip(ordered, values):
                 payments[idx] = value
-            if replay_stats is not None:
-                replay_stats.update(replayer.stats.as_extra())
+            _export_replay_stats(replay_stats, replayer.stats)
             return payments
     # Each ``idx`` is a winner of the allocation this same (deterministic)
     # algorithm produced, so it is selected at its declared value by
@@ -445,7 +453,7 @@ def compute_muca_payments(
     verify_winners: bool = False,
     jobs: int | None = None,
     use_trace: bool = False,
-    replay_stats: dict | None = None,
+    replay_stats: dict | ReplayStats | None = None,
 ) -> np.ndarray:
     """Critical-value payments for every bid (losers pay zero).
 
@@ -474,8 +482,7 @@ def compute_muca_payments(
             )
             for idx, value in zip(ordered, values):
                 payments[idx] = value
-            if replay_stats is not None:
-                replay_stats.update(replayer.stats.as_extra())
+            _export_replay_stats(replay_stats, replayer.stats)
             return payments
     kwargs = dict(
         relative_tolerance=relative_tolerance,

@@ -90,6 +90,20 @@ class TestPathLP:
             path_form = solve_path_lp(instance)
             assert path_form.objective == pytest.approx(edge_form.objective, rel=1e-5, abs=1e-6)
 
+    def test_disabled_edge_carries_no_flow_in_either_formulation(self):
+        # Regression: the edge LP used to route over disabled edges, which
+        # the path LP (and every shortest-path backend) never sees.
+        graph = CapacitatedGraph(
+            2, [(0, 1, 1.0), (0, 1, 1.0)], directed=True, disabled_edges=[1]
+        )
+        instance = UFPInstance(graph, [Request(0, 1, 1.0, 1.0), Request(0, 1, 1.0, 1.0)])
+        edge_form = solve_fractional_ufp(instance)
+        path_form = solve_path_lp(instance)
+        assert edge_form.objective == pytest.approx(1.0)
+        assert edge_form.objective == pytest.approx(path_form.objective)
+        assert edge_form.edge_loads() == pytest.approx([1.0, 0.0])
+        assert edge_form.capacity_duals.shape == (2,)
+
     def test_matches_on_contended_single_edge(self, contended_instance):
         result = solve_path_lp(contended_instance)
         assert result.objective == pytest.approx(8.0)

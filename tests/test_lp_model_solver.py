@@ -15,7 +15,7 @@ from repro.types import SolverStatus
 class TestLinearProgramBuilder:
     def test_variable_bookkeeping(self):
         lp = LinearProgram()
-        x = lp.add_variable(objective=1.0, upper=2.0, name="x")
+        x = lp.add_variable(objective=1.0, upper=2.0)
         y = lp.add_variable(objective=0.5)
         assert (x, y) == (0, 1)
         assert lp.num_variables == 2
@@ -52,6 +52,47 @@ class TestLinearProgramBuilder:
         assert mats["A_eq"].shape == (1, 2)
         np.testing.assert_allclose(mats["b_ub"], [4.0])
         np.testing.assert_allclose(mats["b_eq"], [1.0])
+
+    def test_row_blocks_match_one_row_per_call(self):
+        rows = [0, 0, 1, 1, 2]
+        cols = [2, 0, 1, 2, 0]
+        vals = [1.5, -1.0, 0.0, 2.0, 4.0]
+        rhs = [1.0, 2.0, 3.0]
+        block = LinearProgram()
+        block.add_variables(3, objective=[1.0, 2.0, 3.0])
+        assert block.add_eq_constraint({1: 1.0}, 0.5) == 0
+        assert block.add_eq_rows(rows, cols, vals, rhs) == range(1, 4)
+        assert block.add_le_rows(rows, cols, vals, rhs) == range(0, 3)
+        scalar = LinearProgram()
+        scalar.add_variables(3, objective=[1.0, 2.0, 3.0])
+        scalar.add_eq_constraint({1: 1.0}, 0.5)
+        for add in (scalar.add_eq_constraint, scalar.add_le_constraint):
+            add({2: 1.5, 0: -1.0}, 1.0)
+            add({1: 0.0, 2: 2.0}, 2.0)
+            add({0: 4.0}, 3.0)
+        got, want = block.matrices(), scalar.matrices()
+        for key in ("A_ub", "A_eq"):
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(
+                    getattr(got[key], part), getattr(want[key], part)
+                )
+        # The zero coefficient is dropped and columns come out sorted.
+        assert got["A_eq"].nnz == 5
+        np.testing.assert_array_equal(got["A_eq"].indices[1:3], [0, 2])
+        for key in ("c", "b_ub", "b_eq", "bounds"):
+            np.testing.assert_array_equal(got[key], want[key])
+        assert got["bounds"].shape == (3, 2)
+
+    def test_row_blocks_reject_bad_indices(self):
+        lp = LinearProgram()
+        lp.add_variables(2)
+        with pytest.raises(LPSolveError):
+            lp.add_le_rows([0], [2], [1.0], [1.0])
+        with pytest.raises(LPSolveError):
+            lp.add_eq_rows([1], [0], [1.0], [1.0])
+        with pytest.raises(LPSolveError):
+            lp.add_eq_rows([0, 0], [0], [1.0], [1.0])
+        assert lp.num_le_constraints == lp.num_eq_constraints == 0
 
     def test_objective_mismatch_rejected(self):
         lp = LinearProgram()

@@ -34,6 +34,7 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
 
 from repro.auctions import correlated_auction, random_auction
 from repro.core import (
+    ReplayStats,
     TraceRecorder,
     bounded_muca,
     bounded_ufp,
@@ -188,6 +189,43 @@ def test_payments_jobs_invariant_with_trace():
     serial = compute_ufp_payments(algorithm, instance, allocation, use_trace=True, jobs=1)
     fanned = compute_ufp_payments(algorithm, instance, allocation, use_trace=True, jobs=4)
     np.testing.assert_array_equal(serial, fanned)
+
+
+def _assert_replay_stats_sinks(compute, algorithm, instance, allocation):
+    """``replay_stats`` takes a dict (filled) or a ReplayStats (added into)."""
+    as_dict: dict = {}
+    expected = compute(
+        algorithm, instance, allocation, use_trace=True, replay_stats=as_dict
+    )
+    as_stats = ReplayStats()
+    for _ in range(2):
+        payments = compute(
+            algorithm, instance, allocation, use_trace=True, replay_stats=as_stats
+        )
+        np.testing.assert_array_equal(payments, expected)
+    assert as_dict["replay_probes"] > 0
+    assert {key: value / 2 for key, value in as_stats.as_extra().items()} == as_dict
+
+
+def test_ufp_replay_stats_sink_forms():
+    # The contended shape: the budget rule fires, so winners need probes.
+    instance = random_instance(
+        num_vertices=12, edge_probability=0.25, capacity=15.0,
+        num_requests=60, demand_range=(0.5, 1.0), seed=13,
+    )
+    allocation = bounded_ufp(instance, 0.3)
+    _assert_replay_stats_sinks(
+        compute_ufp_payments, partial(bounded_ufp, epsilon=0.3), instance, allocation
+    )
+
+
+def test_muca_replay_stats_sink_forms():
+    auction = _muca_auction(MUCA_SEEDS[0])
+    allocation = bounded_muca(auction, 0.3)
+    assert allocation.winners
+    _assert_replay_stats_sinks(
+        compute_muca_payments, partial(bounded_muca, epsilon=0.3), auction, allocation
+    )
 
 
 # --------------------------------------------------------------------- #
