@@ -4,8 +4,8 @@ Everything LP-shaped in the reproduction goes through this package:
 
 * :mod:`repro.lp.model` — a small sparse LP builder (variables, linear
   constraints, objective) assembled as COO triplets.
-* :mod:`repro.lp.solver` — the scipy/HiGHS solve wrapper with normalized
-  statuses and dual extraction.
+* :mod:`repro.lp.solver` — the direct HiGHS solve (through scipy's
+  bindings) with normalized statuses and dual extraction.
 * :mod:`repro.lp.fractional_ufp` — the relaxation of the Figure 1 ILP
   (edge-flow formulation), used as the fractional optimum / upper bound in
   every UFP experiment, with a "repetitions" mode matching Figure 5.

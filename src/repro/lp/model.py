@@ -3,7 +3,7 @@
 The builder exists so that LP assembly code reads like the mathematical
 formulation — one constraint per call, or a whole block of rows as COO
 arrays when a formulation tiles one pattern many times — while the
-matrices handed to the solver are sparse CSR from the start; no dense
+matrix handed to the solver is sparse from the start; no dense
 intermediate is ever materialized.
 
 The canonical form used internally is::
@@ -12,12 +12,16 @@ The canonical form used internally is::
     subject to   A_ub @ x <= b_ub
                  A_eq @ x == b_eq
                  lb <= x <= ub
+
+The solver receives it in HiGHS's row-bounded form (see
+:meth:`LinearProgram.columnwise`): one column-wise matrix with the ``<=``
+rows stacked above the ``==`` rows and ``row_lower <= A @ x <= row_upper``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -25,7 +29,7 @@ from scipy import sparse
 from repro.exceptions import LPSolveError
 from repro.types import SolverStatus
 
-__all__ = ["LinearProgram", "LPSolution"]
+__all__ = ["ColumnwiseLP", "LinearProgram", "LPSolution"]
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,27 @@ class LPSolution:
         return self.x[np.asarray(indices, dtype=np.int64)]
 
 
-def _concat(chunks: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+class ColumnwiseLP(NamedTuple):
+    """A :class:`LinearProgram` stacked into one column-wise matrix.
+
+    ``matrix`` is canonical CSC (sorted row indices, no duplicates) whose
+    first ``num_le`` rows are the ``<=`` rows and the rest the ``==`` rows;
+    ``row_lower`` is ``-inf`` on the ``<=`` rows and ``b_eq`` on the ``==``
+    rows, ``row_upper`` is ``b_ub`` then ``b_eq``.  ``c`` is the
+    maximization objective.
+    """
+
+    c: np.ndarray
+    matrix: sparse.csc_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    num_le: int
+
+
+def _concat(chunks: list[np.ndarray], dtype=np.float64) -> np.ndarray:
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
 
 
 @dataclass
@@ -95,6 +118,8 @@ class _RowBlock:
                 raise LPSolveError(f"unknown variable index {bad}")
             if rows.min() < 0 or rows.max() >= rhs.size:
                 raise LPSolveError(f"row index out of range for {rhs.size} row(s)")
+        if not (np.isfinite(vals).all() and np.isfinite(rhs).all()):
+            raise LPSolveError("coefficients and right-hand sides must be finite")
         keep = vals != 0.0
         if not keep.all():
             rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -107,17 +132,23 @@ class _RowBlock:
         self.count += rhs.size
         return range(start, self.count)
 
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The block's ``(rows, cols, vals, rhs)``, chunks concatenated."""
+        return (
+            _concat(self.rows, np.int64),
+            _concat(self.cols, np.int64),
+            _concat(self.vals),
+            _concat(self.rhs),
+        )
+
     def assemble(self, num_variables: int):
         if not self.count:
             return None, None
+        rows, cols, vals, rhs = self.coo()
         matrix = sparse.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=(self.count, num_variables),
+            (vals, (rows, cols)), shape=(self.count, num_variables)
         ).tocsr()
-        return matrix, np.concatenate(self.rhs)
+        return matrix, rhs
 
 
 def _single_row(terms: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +217,7 @@ class LinearProgram:
         upper: float = np.inf,
     ) -> list[int]:
         """Add ``count`` variables sharing bounds; returns their indices."""
-        if lower > upper:
+        if not lower <= upper:
             raise LPSolveError(f"variable bounds [{lower}, {upper}] are empty")
         if np.isscalar(objective):
             obj = np.full(count, float(objective))
@@ -194,6 +225,8 @@ class LinearProgram:
             obj = np.array(objective, dtype=np.float64)
             if obj.shape != (count,):
                 raise LPSolveError("objective vector length mismatch")
+        if not np.isfinite(obj).all():
+            raise LPSolveError("objective coefficients must be finite")
         start = self._num_variables
         self._objective.append(obj)
         self._lower.append(np.full(count, float(lower)))
@@ -225,13 +258,13 @@ class LinearProgram:
     # Assembly / solving
     # ------------------------------------------------------------------ #
     def matrices(self) -> dict:
-        """Return the assembled sparse matrices and vectors.
+        """Return the two constraint blocks in :func:`scipy.optimize.linprog` form.
 
         Keys: ``c`` (maximization objective), ``A_ub``, ``b_ub``, ``A_eq``,
         ``b_eq`` and ``bounds`` (an ``(n, 2)`` array of ``(lb, ub)`` rows).
         The matrices are canonical CSR (sorted column indices, no explicit
-        zeros).  Empty constraint blocks are returned as ``None`` to match
-        :func:`scipy.optimize.linprog`.
+        zeros); empty constraint blocks are ``None``.  The solver itself
+        takes :meth:`columnwise`.
         """
         n = self._num_variables
         A_ub, b_ub = self._ub.assemble(n)
@@ -248,8 +281,33 @@ class LinearProgram:
             "bounds": bounds,
         }
 
-    def solve(self, **solver_options) -> LPSolution:
+    def columnwise(self) -> ColumnwiseLP:
+        """Stack both blocks into one CSC matrix in a single COO -> CSC step."""
+        ub_rows, ub_cols, ub_vals, b_ub = self._ub.coo()
+        eq_rows, eq_cols, eq_vals, b_eq = self._eq.coo()
+        num_le = self._ub.count
+        matrix = sparse.coo_matrix(
+            (
+                np.concatenate((ub_vals, eq_vals)),
+                (
+                    np.concatenate((ub_rows, eq_rows + num_le)),
+                    np.concatenate((ub_cols, eq_cols)),
+                ),
+            ),
+            shape=(num_le + self._eq.count, self._num_variables),
+        ).tocsc()
+        return ColumnwiseLP(
+            c=_concat(self._objective),
+            matrix=matrix,
+            row_lower=np.concatenate((np.full(num_le, -np.inf), b_eq)),
+            row_upper=np.concatenate((b_ub, b_eq)),
+            col_lower=_concat(self._lower),
+            col_upper=_concat(self._upper),
+            num_le=num_le,
+        )
+
+    def solve(self, *, raise_on_failure: bool = True) -> LPSolution:
         """Solve the LP with HiGHS; see :func:`repro.lp.solver.solve_lp`."""
         from repro.lp.solver import solve_lp
 
-        return solve_lp(self, **solver_options)
+        return solve_lp(self, raise_on_failure=raise_on_failure)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +38,8 @@ class TestLinearProgramBuilder:
         lp = LinearProgram()
         with pytest.raises(LPSolveError):
             lp.add_variable(lower=2.0, upper=1.0)
+        with pytest.raises(LPSolveError):
+            lp.add_variable(upper=np.nan)
 
     def test_rejects_unknown_variable_in_constraint(self):
         lp = LinearProgram()
@@ -99,6 +105,36 @@ class TestLinearProgramBuilder:
         with pytest.raises(LPSolveError):
             lp.add_variables(2, objective=[1.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_data_rejected(self, bad):
+        lp = LinearProgram()
+        with pytest.raises(LPSolveError):
+            lp.add_variable(objective=bad)
+        lp.add_variables(2)
+        with pytest.raises(LPSolveError):
+            lp.add_le_constraint({0: bad}, 1.0)
+        with pytest.raises(LPSolveError):
+            lp.add_eq_constraint({0: 1.0}, bad)
+        assert lp.num_variables == 2
+        assert lp.num_le_constraints == lp.num_eq_constraints == 0
+
+    def test_columnwise_stacks_le_rows_above_eq_rows(self):
+        lp = LinearProgram()
+        lp.add_variables(3, objective=[1.0, 2.0, 3.0], upper=4.0)
+        lp.add_eq_constraint({2: 1.0, 0: 2.0}, 5.0)
+        lp.add_le_constraint({1: 3.0}, 6.0)
+        lp.add_le_constraint({0: 1.0, 2: -1.0}, 7.0)
+        form = lp.columnwise()
+        assert form.num_le == 2
+        assert form.matrix.format == "csc"
+        np.testing.assert_array_equal(
+            form.matrix.toarray(), [[0, 3, 0], [1, 0, -1], [2, 0, 1]]
+        )
+        np.testing.assert_array_equal(form.row_lower, [-np.inf, -np.inf, 5.0])
+        np.testing.assert_array_equal(form.row_upper, [6.0, 7.0, 5.0])
+        np.testing.assert_array_equal(form.col_upper, [4.0] * 3)
+        np.testing.assert_array_equal(form.c, [1.0, 2.0, 3.0])
+
 
 class TestSolver:
     def test_simple_maximization(self):
@@ -114,6 +150,28 @@ class TestSolver:
     def test_empty_program(self):
         sol = solve_lp(LinearProgram())
         assert sol.ok and sol.objective == 0.0
+
+    def test_no_variables_feasible_rows_keep_dual_shapes(self):
+        lp = LinearProgram()
+        lp.add_le_rows([], [], [], [0.0, 1.5])
+        lp.add_eq_rows([], [], [], [0.0])
+        sol = solve_lp(lp)
+        assert sol.ok and sol.objective == 0.0
+        assert sol.x.shape == (0,)
+        np.testing.assert_array_equal(sol.ineq_duals, [0.0, 0.0])
+        np.testing.assert_array_equal(sol.eq_duals, [0.0])
+
+    @pytest.mark.parametrize("le_rhs, eq_rhs", [(-1.0, 0.0), (0.0, 2.0), (-1.0, 2.0)])
+    def test_no_variables_unsatisfiable_row_is_infeasible(self, le_rhs, eq_rhs):
+        lp = LinearProgram()
+        lp.add_le_rows([], [], [], [le_rhs])
+        lp.add_eq_rows([], [], [], [eq_rhs])
+        with pytest.raises(LPSolveError):
+            solve_lp(lp)
+        sol = solve_lp(lp, raise_on_failure=False)
+        assert sol.status is SolverStatus.INFEASIBLE
+        assert sol.ineq_duals.shape == (1,) and sol.eq_duals.shape == (1,)
+        assert np.isnan(sol.objective)
 
     def test_equality_constraints(self):
         lp = LinearProgram()
@@ -138,7 +196,7 @@ class TestSolver:
         lp = LinearProgram()
         lp.add_variable(objective=1.0)  # no upper bound, no constraints
         sol = solve_lp(lp, raise_on_failure=False)
-        assert sol.status in (SolverStatus.UNBOUNDED, SolverStatus.ERROR)
+        assert sol.status is SolverStatus.UNBOUNDED
 
     def test_duals_of_knapsack_constraint(self):
         # max 3a + 2b  s.t. a + b <= 1, 0 <= a, b <= 1: dual of the packing
@@ -187,3 +245,18 @@ def test_property_fractional_knapsack_matches_greedy(capacities, values):
         expected += v * take
         remaining -= take
     assert sol.objective == pytest.approx(expected, rel=1e-6, abs=1e-6)
+
+
+def test_old_scipy_fails_at_import_naming_the_requirement():
+    code = (
+        "import scipy; scipy.__version__ = '1.16.2'\n"
+        "try:\n"
+        "    import repro.lp\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert "scipy>=1.17" in out.stdout and "1.16.2" in out.stdout
