@@ -16,6 +16,15 @@ speed.  Record them with::
 The committed ``benchmarks/BENCH_KERNELS.json`` documents the measured
 tier speedups on the reference machine (the perf gate itself stays on the
 lists tier; see ``bench_pr4_gate.py``).
+
+The ``tree_crossover`` rows are the evidence for
+``repro.graphs.shortest_path.COMPILED_MIN_VERTICES``: one full tree by the
+Python heap loop and by the compiled csgraph path, on a graph below the
+crossover (the 12-vertex contended graph) and one above it (the
+360-vertex region composite)::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_micro_primitives.py -q \
+        -k tree_crossover
 """
 
 from __future__ import annotations
@@ -29,7 +38,12 @@ from repro.core import bounded_muca, bounded_ufp
 from repro.flows import random_instance
 from repro.auctions import random_auction
 from repro.fractional import garg_konemann_fractional_ufp
-from repro.graphs import random_digraph, single_source_dijkstra
+from repro.graphs import multi_region_topology, random_digraph, single_source_dijkstra
+from repro.graphs.shortest_path import (
+    COMPILED_MIN_VERTICES,
+    compiled_tree,
+    dijkstra_lists,
+)
 from repro.kernels import get_kernel, kernel_available, use_kernel
 from repro.lp import solve_fractional_ufp
 from repro.mechanism import compute_ufp_payments
@@ -114,10 +128,11 @@ def test_bench_dijkstra_kernel_micro(benchmark, kernel_name):
     """One shortest-path tree through each compute-kernel tier directly.
 
     Same 300-vertex digraph as ``test_bench_dijkstra_pricing``, but calling
-    ``kernel.dijkstra`` without the backend wrapper so the rows isolate the
-    tiers' inner loops (pure-Python array heap vs the numba JIT heap).  One
-    warm-up call outside the timed region absorbs the one-off costs the
-    tiers amortize in real runs (CSR materialization, JIT compilation)."""
+    ``kernel.dijkstra`` without the validating wrapper so the rows isolate
+    the tiers' tree paths (the compiled csgraph path of the lists and numpy
+    tiers, the numba JIT heap).  One warm-up call outside the timed region
+    absorbs the one-off costs the tiers amortize in real runs (CSR
+    materialization, JIT compilation)."""
     graph = random_digraph(300, 0.03, 10.0, seed=5)
     rng = np.random.default_rng(5)
     weights = rng.uniform(0.01, 1.0, size=graph.num_edges)
@@ -129,6 +144,42 @@ def test_bench_dijkstra_kernel_micro(benchmark, kernel_name):
             lambda: kernel.dijkstra(graph, weights, wlist, 0)
         )
     assert dist[0] == 0.0
+
+
+def _crossover_graph(name):
+    if name == "contended12":
+        # The graph of the contended payments workload (12 vertices).
+        return random_instance(
+            num_vertices=12, edge_probability=0.25, capacity=15.0,
+            num_requests=120, demand_range=(0.5, 1.0), seed=13,
+        ).graph
+    # The global region solve's composite (360 vertices, 495 edges).
+    return multi_region_topology(10, 6, 5, 60.0, 30.0, 15.0, seed=13)
+
+
+@pytest.mark.parametrize("tree_path", ["lists", "compiled"])
+@pytest.mark.parametrize("graph_name", ["contended12", "region360"])
+def test_bench_tree_crossover(benchmark, graph_name, tree_path):
+    """One full tree under the initial weights ``1/c``, by each path, on
+    each side of ``COMPILED_MIN_VERTICES``.  Both paths return the same
+    tree; the rows time only the path.  One warm-up call builds the cached
+    CSR structures outside the timed region."""
+    graph = _crossover_graph(graph_name)
+    assert (graph.num_vertices < COMPILED_MIN_VERTICES) == (
+        graph_name == "contended12"
+    )
+    weights = 1.0 / graph.capacities
+    if tree_path == "compiled":
+        run = partial(compiled_tree, graph, weights, 0)
+    else:
+        indptr, heads, eids = graph.csr_lists()
+        run = partial(
+            dijkstra_lists, graph.num_vertices, indptr, heads, eids,
+            weights.tolist(), 0,
+        )
+    expected = run()
+    tree = benchmark(run)
+    assert tree == expected
 
 
 @pytest.mark.parametrize("kernel_name", KERNEL_TIERS)

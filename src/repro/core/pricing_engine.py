@@ -47,8 +47,8 @@ valid — not merely as a bound:
 hence a fresh Dijkstra run would reproduce the cached tree *bit for bit*,
 including tie-breaking — which is what keeps the engine's selected paths
 byte-identical to the reference implementation.  Each cached tree carries
-its parent-edge set; a selection evicts exactly the trees whose set
-intersects the selected path.
+its parent-edge set as an int bitmask; a selection evicts exactly the trees
+whose mask intersects the selected path.
 
 Because the initial weights ``y_e = 1/c_e`` are a function of the graph
 alone, the trees priced at the start of a run are additionally memoized on
@@ -89,8 +89,8 @@ import numpy as np
 
 from repro.core.dual_state import DualWeights
 from repro.graphs.graph import CapacitatedGraph
-from repro.graphs.shortest_path import get_backend
 from repro.kernels import get_kernel
+from repro.kernels.numpy_tier import _BitmaskIndex
 
 __all__ = [
     "PathPricingEngine",
@@ -212,9 +212,9 @@ class PricingStats:
     #: ``kernel_name`` is the tier this engine resolved at construction;
     #: ``kernel_calls`` counts kernel-shaped work units — shortest-path
     #: trees computed, dual updates applied, bundle-score sweeps — and is
-    #: *tier- and backend-invariant* (the scipy backend's batched trees
-    #: count one call per tree, exactly like ``dijkstra_calls``), so bench
-    #: regressions are attributable without perturbing any pinned output.
+    #: *tier-invariant* (whichever tree path runs, one tree is one call,
+    #: exactly like ``dijkstra_calls``), so bench regressions are
+    #: attributable without perturbing any pinned output.
     kernel_name: str = "lists"
     kernel_calls: int = 0
 
@@ -261,20 +261,18 @@ class _PricedTree:
     """A shortest-path tree as raw Python lists.
 
     The engine prices requests thousands of times on graphs that are often
-    tiny; keeping the :func:`~repro.graphs.shortest_path.dijkstra_lists`
+    tiny; keeping the :func:`~repro.graphs.shortest_path.shortest_path_tree`
     output unwrapped (no numpy array construction, no dataclass) keeps the
     per-pricing cost at a couple of list indexings.  Contents are identical
     to the corresponding :class:`ShortestPathResult`.
+
+    ``edge_mask`` is the set of parent edges as one Python int (bit ``e``
+    set when edge ``e`` enters some vertex), the invalidation index's key.
+    Trees are immutable, so it is built once and stays valid for the
+    tree's whole lifetime, memo included.
     """
 
-    __slots__ = (
-        "source",
-        "dist",
-        "parent_vertex",
-        "parent_edge",
-        "edge_set",
-        "edge_mask",
-    )
+    __slots__ = ("source", "dist", "parent_vertex", "parent_edge", "edge_mask")
 
     def __init__(
         self,
@@ -282,18 +280,18 @@ class _PricedTree:
         dist: list[float],
         parent_vertex: list[int],
         parent_edge: list[int],
+        num_edges: int,
     ) -> None:
         self.source = source
         self.dist = dist
         self.parent_vertex = parent_vertex
         self.parent_edge = parent_edge
-        used = set(parent_edge)
-        used.discard(-1)
-        self.edge_set = frozenset(used)
-        # Bitmask form of edge_set, filled lazily by the numpy kernel's
-        # invalidation index (and then shared: trees are immutable, so the
-        # mask is valid for the tree's whole lifetime, memo included).
-        self.edge_mask: int | None = None
+        # Bit 0 of `used` collects the -1 entries (source, unreachable).
+        used = np.zeros(num_edges + 1, dtype=np.bool_)
+        used[np.fromiter(parent_edge, np.int64, len(parent_edge)) + 1] = True
+        self.edge_mask = int.from_bytes(
+            np.packbits(used[1:], bitorder="little").tobytes(), "little"
+        )
 
     def path_to(self, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         vertices = [target]
@@ -421,9 +419,8 @@ class PathPricingEngine:
         # source -> tree; all registered trees are exact under the current
         # weights.
         self._trees: dict[int, _PricedTree] = {}
-        # Kernel-provided invalidation index: which cached trees use which
-        # edges (edge-sets under lists, bitmasks under numpy/numba).
-        self._index = self._kernel.make_invalidation_index()
+        # Invalidation index: which cached trees use which edges.
+        self._index = _BitmaskIndex()
         # Bumped whenever a source's tree is evicted; heap entries carry the
         # epoch their score was computed at, so staleness is an int compare.
         self._source_epoch: dict[int, int] = {}
@@ -513,17 +510,16 @@ class PathPricingEngine:
         dist, pv, pe = kernel.dijkstra(self._graph, self._weights, wl, source)
         self.stats.dijkstra_calls += 1
         self.stats.kernel_calls += 1
-        tree = _PricedTree(source, dist, pv, pe)
+        tree = _PricedTree(source, dist, pv, pe, self._graph.num_edges)
         self._memo_put(key, tree)
         return tree
 
     def _get_trees_batch(self, sources: Sequence[int]) -> dict[int, _PricedTree]:
         """Fetch/compute the trees of several sources, registering each.
 
-        Cache and memo bookkeeping mirrors per-source :meth:`_get_tree`
-        exactly; only the misses change code path — under a batch-capable
-        backend (scipy) all missing trees come from **one** vectorized
-        multi-source call instead of one kernel run per source.
+        Every memo lookup happens before the first miss is computed (a
+        miss's memo insert can evict another source's entry), then the
+        misses are computed in ``sources`` order.
         """
         result: dict[int, _PricedTree] = {}
         missing: list[tuple[int, tuple | None]] = []
@@ -541,26 +537,13 @@ class PathPricingEngine:
             else:
                 missing.append((source, key))
         if missing:
-            srcs = [source for source, _ in missing]
-            backend = get_backend()
             kernel = self._kernel
-            if backend.supports_batch and len(srcs) > 1:
-                raw = backend.trees(
-                    self._graph, srcs, self._weights,
-                    weights_list=self._weights_list(),
-                )
-            else:
-                wl = self._weights_list() if kernel.wants_weights_list else None
-                raw = [
-                    kernel.dijkstra(self._graph, self._weights, wl, s)
-                    for s in srcs
-                ]
-            for (source, key), (dist, pv, pe) in zip(missing, raw):
-                # kernel_calls counts per *tree* in both branches so the
-                # counter is backend-invariant (like dijkstra_calls).
+            wl = self._weights_list() if kernel.wants_weights_list else None
+            for source, key in missing:
+                dist, pv, pe = kernel.dijkstra(self._graph, self._weights, wl, source)
                 self.stats.dijkstra_calls += 1
                 self.stats.kernel_calls += 1
-                tree = _PricedTree(source, dist, pv, pe)
+                tree = _PricedTree(source, dist, pv, pe, self._graph.num_edges)
                 self._memo_put(key, tree)
                 self._register_tree(source, tree)
                 result[source] = tree
@@ -667,19 +650,11 @@ class PathPricingEngine:
         :meth:`commit` (duals mode) or :meth:`invalidate_path` (external
         weights mode) with the result.
 
-        Stale entries are refreshed in one of two ways with identical
-        results: under the default lists backend each is re-priced the
-        moment it pops; under a batch-capable backend (scipy) the pop phase
-        collects every stale entry within the refresh band and one
-        multi-source backend call refreshes all their trees at once.  The
-        fixpoint — which entries end up fresh, and the fold over their
-        exact scores — does not depend on the refresh order, so selections
-        (hence allocations) are bit-identical across backends.
+        A stale entry is re-priced the moment it pops.
         """
         if not self._pending:
             return None
         self.stats.eager_equivalent_calls += len(self._source_live)
-        batched = get_backend().supports_batch
         heap = self._heap
         stats = self.stats
         fresh: list[tuple[int, int, float]] = []  # (source, index, exact score)
@@ -688,7 +663,6 @@ class PathPricingEngine:
         anchor = math.inf
         band = self._band
         while True:
-            stale: dict[int, list[int]] = {}  # source -> popped stale indices
             while heap and heap[0][0] <= anchor + band:
                 score, idx, epoch = heapq.heappop(heap)
                 if self._selected[idx] or self._dropped[idx]:
@@ -702,12 +676,6 @@ class PathPricingEngine:
                     fresh_trees[idx] = self._trees[source]
                     if score < anchor:
                         anchor = score
-                elif batched:
-                    stale.setdefault(source, []).append(idx)
-                    if anchor == math.inf:
-                        # No fresh minimum yet: refresh before draining the
-                        # whole heap (laziness over batching).
-                        break
                 else:
                     tree = self._get_tree(source)
                     stats.repricings += 1
@@ -718,24 +686,6 @@ class PathPricingEngine:
                         continue
                     s = self._score(idx, req, d)
                     heapq.heappush(heap, (s, idx, self._source_epoch.get(source, 0)))
-            if stale:
-                trees = self._get_trees_batch(list(stale))
-                for source, idxs in stale.items():
-                    tree = trees[source]
-                    epoch = self._source_epoch.get(source, 0)
-                    for position, idx in enumerate(idxs):
-                        if position:
-                            # Mirror the sequential path's counters: the
-                            # second+ entry of a source hits its live tree.
-                            stats.tree_reuses += 1
-                        stats.repricings += 1
-                        req = self._requests[idx]
-                        d = tree.dist[req.target]
-                        if d == _INF:
-                            self._drop(idx)
-                            continue
-                        heapq.heappush(heap, (self._score(idx, req, d), idx, epoch))
-                continue
             if not fresh:
                 return None
             winner = self._fold(fresh)
@@ -929,7 +879,7 @@ class PathPricingEngine:
                 _INITIAL_TREE_MEMO_KEY, {}
             )
         self._trees = {}
-        self._index = self._kernel.make_invalidation_index()
+        self._index = _BitmaskIndex()
         for source in list(self._source_epoch):
             self._source_epoch[source] += 1
         by_source: dict[int, list[int]] = {}
@@ -974,8 +924,7 @@ class PathPricingEngine:
             pending=self._pending,
             source_live=tuple(self._source_live.items()),
             trees=tuple(self._trees.items()),
-            # Tagged, kernel-agnostic payload: either index flavor restores
-            # from either snapshot (replays may cross kernel tiers).
+            # Tagged payload; either index flavor restores from either.
             edge_sources=self._index.snapshot(),
             source_epoch=tuple(self._source_epoch.items()),
         )
@@ -1006,7 +955,7 @@ class PathPricingEngine:
         self._pending = checkpoint.pending
         self._source_live = dict(checkpoint.source_live)
         self._trees = dict(checkpoint.trees)
-        self._index = self._kernel.make_invalidation_index()
+        self._index = _BitmaskIndex()
         self._index.restore(checkpoint.edge_sources)
         self._source_epoch = dict(checkpoint.source_epoch)
         self._w_list = None

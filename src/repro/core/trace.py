@@ -53,7 +53,8 @@ after it is re-run live on the restored engine.  Because the lazy engine's
 selections are a pure function of (pending pool, duals) regardless of its
 cache/heap internals, the resumed suffix reproduces the from-scratch probe
 run's allocation bit for bit; ``tests/test_trace_replay.py`` enforces this
-across the pinned differential-fuzz corpus and both shortest-path backends.
+across the pinned differential-fuzz corpus, on both shortest-path tree
+paths (the Python loop and the compiled csgraph path).
 
 Two probe answers are free:
 

@@ -27,14 +27,9 @@ from repro.graphs.paths import (
 from repro.graphs.shortest_path import (
     ShortestPathResult,
     single_source_dijkstra,
-    multi_source_dijkstra,
     reference_dijkstra,
     shortest_path,
     bellman_ford,
-    set_backend,
-    get_backend,
-    use_backend,
-    available_backends,
 )
 from repro.graphs.generators import (
     random_digraph,
@@ -77,14 +72,9 @@ __all__ = [
     "validate_path",
     "ShortestPathResult",
     "single_source_dijkstra",
-    "multi_source_dijkstra",
     "reference_dijkstra",
     "shortest_path",
     "bellman_ford",
-    "set_backend",
-    "get_backend",
-    "use_backend",
-    "available_backends",
     "random_digraph",
     "random_graph",
     "grid_graph",

@@ -122,7 +122,7 @@ class CapacitatedGraph:
         # Disabled edges model substrate faults: the edge keeps its id and
         # capacity (so every edge-id-indexed array stays aligned across
         # substrate mutations) but contributes no arcs — routing simply never
-        # sees it, on any shortest-path backend.
+        # sees it, on either shortest-path tree path.
         disabled = frozenset(int(e) for e in disabled_edges)
         for eid in disabled:
             if not 0 <= eid < m:

@@ -6,61 +6,81 @@ under the *current* dual weights ``y_e >= 0``.  Weights are always
 non-negative, so Dijkstra with a binary heap is correct; Bellman-Ford is
 provided as an independent oracle for differential testing.
 
-Two Dijkstra implementations are offered with identical semantics:
-
-* :func:`single_source_dijkstra` — the production hot loop.  It runs over
-  flat Python lists (the CSR adjacency pre-extracted once per graph via
-  :meth:`~repro.graphs.graph.CapacitatedGraph.csr_lists`, the weight vector
-  converted once per call) and an array-backed binary heap of ``(dist,
-  vertex)`` pairs, so the inner relaxation performs no per-edge numpy scalar
-  boxing.  Its output — distances, parents and therefore extracted paths —
-  is bit-for-bit identical to :func:`reference_dijkstra`.
-* :func:`reference_dijkstra` — the original straightforward numpy-indexing
-  implementation, kept as the differential-testing oracle for the fast one.
-
-Both tie-break identically: heap entries are ``(dist, vertex)`` tuples (so
-equal distances settle in vertex order), and a relaxation only overwrites a
+Every shortest-path tree of the library is bit-identical to
+:func:`reference_dijkstra`, the original straightforward numpy-indexing
+implementation kept as the differential-testing oracle.  Its tie-breaking
+is the contract: heap entries are ``(dist, vertex)`` tuples (so equal
+distances settle in vertex order), and a relaxation only overwrites a
 parent on a strict improvement (so the first arc, in CSR order from the
 earliest-settled tail, that attains the final distance is the parent).
 
-Pluggable backends
-------------------
-Full-tree computations (no ``targets`` early exit) are routed through a
-process-global **backend registry**:
+Two ways to compute a full tree
+-------------------------------
+:func:`shortest_path_tree` is the one full-tree entry point (the compute
+kernels call it whenever no ``targets`` early exit is requested).  It picks
+the implementation by graph size:
 
-* ``"lists"`` — the flat-Python-list kernel above (the default);
-* ``"scipy"`` — batched ``scipy.sparse.csgraph.dijkstra`` over CSR arrays
-  cached on :attr:`CapacitatedGraph.substrate_cache`, with parent extraction
-  replaying the lists kernel's exact tie-breaking, so distances, parents and
-  therefore every downstream allocation are **bit-identical** to the lists
-  backend (enforced by the differential backend-parity suite).  Its batched
-  entry point :func:`multi_source_dijkstra` computes several source trees in
-  one vectorized C call — the pricing engine uses it to prime and to refresh
-  invalidated trees.
+* :func:`dijkstra_lists` — the hot loop over flat Python lists (the CSR
+  adjacency pre-extracted once per graph via
+  :meth:`~repro.graphs.graph.CapacitatedGraph.csr_lists`) and an
+  array-backed binary heap.  It serves graphs below
+  :data:`COMPILED_MIN_VERTICES`, every ``targets`` early exit, and every
+  graph the compiled path declines.
+* :func:`compiled_tree` — graphs with at least
+  :data:`COMPILED_MIN_VERTICES` vertices get their distances from
+  ``scipy.sparse.csgraph.dijkstra`` on a CSR matrix cached on
+  :attr:`CapacitatedGraph.substrate_cache` (only its ``data`` vector,
+  ``weights[arc_edge_ids]``, is rewritten per call); the parents are then
+  *reconstructed* in numpy under the lists kernel's tie-breaking.  The
+  crossover is measured: the compiled path's cost per tree is mostly a
+  fixed cost (the csgraph call and the reconstruction), the Python loop's
+  grows with the graph, and the two break even at ~80-90 vertices on
+  region composites and grids (~60 on denser random graphs).  On the
+  12-vertex contended graph the Python loop is ~6x faster, on the
+  360-vertex region composite the compiled path is ~3.5x faster
+  (``benchmarks/bench_micro_primitives.py -k tree_crossover`` keeps one
+  row on each side).
+  It declines — returns ``None`` so the caller runs the Python loop — on
+  graphs with parallel arcs (the CSR constructor would sum them), on any
+  weight ``<= 0`` (the proof below needs ``w > 0``), and whenever the
+  reconstruction leaves a reachable vertex without a parent.
 
-Select with :func:`set_backend`/:func:`use_backend` or the
-``REPRO_SP_BACKEND`` environment variable.  The scipy backend transparently
-falls back to the lists kernel for the cases outside its contract (graphs
-with parallel edges, non-positive weights, explicit ``targets``), so
-selecting it is always safe.
+Why the compiled tree is bit-identical
+--------------------------------------
+*Distances.*  IEEE addition is monotone, so with non-negative weights any
+Dijkstra settles vertices in non-decreasing distance order and the value
+it stores at ``v`` is the minimum, over all ``s -> v`` paths, of the path
+weight summed left to right in float64.  That minimum does not depend on
+the heap or the tie-breaking, so csgraph's ``d[u] + w`` relaxations and
+the lists kernel's produce the same double at every vertex.
 
-Why the scipy distances are bit-identical: with strictly positive weights
-the Dijkstra fixpoint over IEEE doubles is tie-break independent — every
-settled vertex satisfies ``dist[v] = min_u (dist[u] + w(u, v))`` over the
-tails with strictly smaller distance, and induction over the settle order
-shows any two conforming implementations compute the same double at every
-vertex.  Parents are then *reconstructed* under the lists kernel's rule (the
-first arc, in ``(settle rank of tail, CSR position)`` order, whose relaxation
-attains the final distance bit-for-bit), rather than trusting scipy's own
-predecessor tie-breaking.
+*Parents.*  Call an arc ``u -> v`` *tight* when ``dist[u] + w == dist[v]``
+and ``dist[u] < dist[v]`` (strictly).  The lists kernel's parent of ``v``
+is the first relaxation, in processing order, that attains the final
+``dist[v]``; tails are processed in settle order, i.e. by ``(dist,
+vertex id)``, and arcs of one tail in CSR order.  A tail with
+``dist[u] < dist[v]`` settles before ``v``, so its tight arc is relaxed
+while ``v`` is open, and the first such relaxation sets ``dist[v]`` to its
+final value; no later one is a strict improvement.  Hence, whenever ``v``
+has a tight arc, its parent is the tight arc minimizing ``(dist[u], vertex
+id of u, CSR position)``.  The CSR arrays are stable-sorted by tail, so
+the arc index orders ``(vertex id, CSR position)`` and the winner is the
+tight arc with the smallest ``(dist[tail], arc index)`` — one ``lexsort``
+over the tight arcs.  The argument needs every reachable vertex but the
+source to have a tight arc, and no unreachable one to have one.  Both can
+fail only in float corner cases — ``fl(d + w) == d`` for a tiny ``w > 0``,
+or ``d + w`` overflowing to ``inf`` — so the reconstruction counts its
+parents and the compiled path declines on a mismatch.
+
+The resulting trees are independent of how they were computed, so nothing
+downstream — the pricing engine's tree cache and its invalidation index,
+the tree memo, the hashed counters — depends on which path ran.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import warnings
-from contextlib import contextmanager
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,21 +90,21 @@ from repro.graphs.graph import CapacitatedGraph
 
 __all__ = [
     "ShortestPathResult",
+    "COMPILED_MIN_VERTICES",
+    "compiled_tree",
     "dijkstra_lists",
+    "shortest_path_tree",
     "single_source_dijkstra",
-    "multi_source_dijkstra",
     "reference_dijkstra",
     "shortest_path",
     "bellman_ford",
-    "set_backend",
-    "get_backend",
-    "use_backend",
-    "available_backends",
-    "BACKEND_ENV_VAR",
 ]
 
-#: Environment variable consulted for the initial backend selection.
-BACKEND_ENV_VAR = "REPRO_SP_BACKEND"
+#: Graphs with at least this many vertices take their full trees from
+#: :func:`compiled_tree`; smaller ones stay on :func:`dijkstra_lists`.
+COMPILED_MIN_VERTICES = 96
+
+_CSGRAPH_CACHE_KEY = "shortest_path/csgraph"
 
 
 @dataclass(frozen=True)
@@ -174,12 +194,10 @@ def dijkstra_lists(
     """The Dijkstra hot loop over flat Python lists.
 
     Returns ``(dist, parent_vertex, parent_edge)`` as plain lists
-    (unreachable vertices carry ``inf`` / ``-1``).  This is the shared core
-    of :func:`single_source_dijkstra` (which wraps it in numpy arrays and
-    input validation) and of the pricing engine's tree cache (which keeps
-    the raw lists to avoid per-call array construction on small graphs).
-    Arithmetic and tie-breaking are bit-identical to
-    :func:`reference_dijkstra`.
+    (unreachable vertices carry ``inf`` / ``-1``).  Serves every ``targets``
+    early exit and the full trees of small graphs (see
+    :func:`shortest_path_tree`).  Arithmetic and tie-breaking are
+    bit-identical to :func:`reference_dijkstra`.
     """
     inf = float("inf")
     dist = [inf] * n
@@ -218,249 +236,112 @@ def dijkstra_lists(
     return dist, parent_vertex, parent_edge
 
 
-# --------------------------------------------------------------------- #
-# Backend registry
-# --------------------------------------------------------------------- #
-class ListsBackend:
-    """The default backend: the flat-Python-list Dijkstra kernel."""
+def _csgraph_structure(graph: CapacitatedGraph):
+    """Per-graph cached ``(matrix, lock, arc_tails, arc_heads, arc_eids,
+    ints)``, or ``None`` when the graph has parallel arcs.
 
-    name = "lists"
-    #: Whether :meth:`trees` computes several sources in one vectorized call
-    #: (the lists kernel just loops, so batching buys nothing).
-    supports_batch = False
-
-    def trees(
-        self,
-        graph: CapacitatedGraph,
-        sources: list[int],
-        weights: np.ndarray,
-        *,
-        weights_list: list[float] | None = None,
-    ) -> list[tuple[list[float], list[int], list[int]]]:
-        """Full shortest-path trees ``(dist, parent_vertex, parent_edge)``
-        as raw lists, one per source, in ``sources`` order.
-
-        Per-tree computation dispatches through the active compute kernel
-        (:mod:`repro.kernels`), so ``REPRO_KERNEL=numba`` accelerates this
-        backend too; every kernel tier is bit-identical to the lists loop.
-        """
-        from repro.kernels import get_kernel
-
-        kernel = get_kernel()
-        if kernel.wants_weights_list and weights_list is None:
-            weights_list = weights.tolist()
-        return [
-            kernel.dijkstra(graph, weights, weights_list, s) for s in sources
-        ]
-
-
-class ScipyBackend:
-    """Batched ``scipy.sparse.csgraph.dijkstra`` with lists-kernel parents.
-
-    Distances for all requested sources come from one vectorized call on a
-    CSR matrix whose structure (``indptr``/``indices``/arc edge ids/arc
-    tails) is cached on the graph's substrate cache; only the per-arc data
-    vector ``weights[arc_edge_ids]`` is rebuilt per call.  Parents are then
-    reconstructed under the exact tie-breaking of :func:`dijkstra_lists`
-    (see the module docstring), keeping the output bit-identical.
-
-    Outside its contract — parallel edges (scipy's CSR canonicalization
-    sums duplicate entries), non-positive weights (the tie-break-independence
-    argument needs ``w > 0``) — it silently delegates to the lists kernel.
+    ``matrix`` is a CSR matrix over the graph's own arc order whose
+    ``data`` is rewritten on every call, under ``lock`` (threads may share
+    a graph); ``ints`` is an object array of ``range(-1, max(n, m))`` so
+    parent lists are built from shared int objects (a memoized tree then
+    holds no ints of its own).
     """
-
-    name = "scipy"
-    supports_batch = True
-
-    _CACHE_KEY = "shortest_path/scipy_csr"
-
-    def __init__(self) -> None:
-        from scipy.sparse import csr_matrix  # noqa: F401 - fail fast if absent
-        from scipy.sparse.csgraph import dijkstra  # noqa: F401
-
-    def _structure(self, graph: CapacitatedGraph):
-        cached = graph.substrate_cache.get(self._CACHE_KEY)
-        if cached is None:
-            indptr = graph.indptr
-            arc_heads = graph.adjacency_heads
-            arc_eids = graph.adjacency_edge_ids
-            arc_tails = np.repeat(
-                np.arange(graph.num_vertices, dtype=np.int64), np.diff(indptr)
-            )
-            # Parallel arcs (same tail and head) would be summed by scipy's
-            # duplicate canonicalization; detect once and delegate forever.
-            pair_keys = arc_tails * graph.num_vertices + arc_heads
-            has_parallel = bool(np.unique(pair_keys).size < pair_keys.size)
-            cached = (
-                indptr.astype(np.int32),
-                arc_heads.astype(np.int32),
-                arc_eids,
-                arc_tails,
-                has_parallel,
-            )
-            graph.substrate_cache[self._CACHE_KEY] = cached
-        return cached
-
-    def trees(
-        self,
-        graph: CapacitatedGraph,
-        sources: list[int],
-        weights: np.ndarray,
-        *,
-        weights_list: list[float] | None = None,
-    ) -> list[tuple[list[float], list[int], list[int]]]:
+    cached = graph.substrate_cache.get(_CSGRAPH_CACHE_KEY)
+    if cached is None:
         from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
-
-        indptr, arc_heads, arc_eids, arc_tails, has_parallel = self._structure(graph)
-        weights = np.asarray(weights, dtype=np.float64)
-        if has_parallel or (weights.size and float(weights.min()) <= 0.0):
-            return _LISTS_BACKEND.trees(
-                graph, sources, weights, weights_list=weights_list
-            )
 
         n = graph.num_vertices
-        arc_w = weights[arc_eids]
-        matrix = csr_matrix((arc_w, arc_heads, indptr), shape=(n, n), copy=False)
-        dist_matrix = csgraph_dijkstra(matrix, directed=True, indices=sources)
-        dist_matrix = np.atleast_2d(dist_matrix)
-
-        results: list[tuple[list[float], list[int], list[int]]] = []
-        for row, source in enumerate(sources):
-            dist = dist_matrix[row]
-            parent_vertex, parent_edge = self._reconstruct_parents(
-                n, arc_tails, arc_heads, arc_eids, arc_w, dist, source
+        indptr = graph.indptr
+        arc_heads = graph.adjacency_heads
+        arc_tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        pair_keys = arc_tails * n + arc_heads
+        if np.unique(pair_keys).size < pair_keys.size:
+            cached = (None,)
+        else:
+            matrix = csr_matrix(
+                (np.ones(arc_heads.size), arc_heads.astype(np.int32),
+                 indptr.astype(np.int32)),
+                shape=(n, n),
             )
-            if parent_vertex is None:
-                # Bitwise inconsistency (cannot happen under the contract,
-                # but never emit a tree we cannot prove identical).
-                results.append(
-                    _LISTS_BACKEND.trees(
-                        graph, [source], weights, weights_list=weights_list
-                    )[0]
-                )
-                continue
-            results.append((dist.tolist(), parent_vertex, parent_edge))
-        return results
-
-    @staticmethod
-    def _reconstruct_parents(
-        n: int,
-        arc_tails: np.ndarray,
-        arc_heads: np.ndarray,
-        arc_eids: np.ndarray,
-        arc_w: np.ndarray,
-        dist: np.ndarray,
-        source: int,
-    ) -> tuple[list[int], list[int]] | tuple[None, None]:
-        """Parents under the lists kernel's tie-breaking, from distances.
-
-        The kernel's final parent of ``v`` is the first relaxation — tails
-        in settle order, arcs in CSR order within a tail — that attains the
-        final ``dist[v]`` exactly.  With strictly positive weights every
-        attaining tail has strictly smaller distance, so settle order among
-        candidates is the ``(dist, vertex)`` lexicographic order and the
-        winner is the candidate arc minimizing ``(settle_rank[tail],
-        csr_position)``.
-        """
-        finite_tail = np.isfinite(dist[arc_tails])
-        sums = dist[arc_tails] + arc_w
-        candidate = finite_tail & (sums == dist[arc_heads])
-
-        parent_vertex = np.full(n, -1, dtype=np.int64)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-
-        cidx = np.nonzero(candidate)[0]
-        if cidx.size:
-            # Settle rank: vertices sorted by (dist, vertex id).
-            rank = np.empty(n, dtype=np.int64)
-            rank[np.lexsort((np.arange(n), dist))] = np.arange(n)
-            heads_c = arc_heads[cidx].astype(np.int64)
-            order = np.lexsort((cidx, rank[arc_tails[cidx]], heads_c))
-            sorted_heads = heads_c[order]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = sorted_heads[1:] != sorted_heads[:-1]
-            winners = cidx[order[first]]
-            win_heads = arc_heads[winners].astype(np.int64)
-            parent_vertex[win_heads] = arc_tails[winners]
-            parent_edge[win_heads] = arc_eids[winners]
-
-        # Every finite, non-source vertex must have found a parent.
-        reachable = np.isfinite(dist)
-        reachable[source] = False
-        if np.any(reachable & (parent_edge < 0)):  # pragma: no cover - guard
-            return None, None
-        return parent_vertex.tolist(), parent_edge.tolist()
-
-
-_LISTS_BACKEND = ListsBackend()
-_BACKENDS: dict[str, type] = {"lists": ListsBackend, "scipy": ScipyBackend}
-_active_backend = None
-
-
-def available_backends() -> list[str]:
-    """Registered backend names (``"scipy"`` listed even if scipy is absent;
-    selecting it then raises)."""
-    return sorted(_BACKENDS)
-
-
-def get_backend():
-    """The active backend instance (resolving ``REPRO_SP_BACKEND`` on first
-    use; unknown or unavailable values warn and fall back to ``"lists"``)."""
-    global _active_backend
-    if _active_backend is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "lists").strip() or "lists"
-        try:
-            set_backend(name)
-        except (KeyError, ImportError) as exc:
-            warnings.warn(
-                f"{BACKEND_ENV_VAR}={name!r} unavailable ({exc}); using 'lists'",
-                stacklevel=2,
+            ints = np.array(range(-1, max(n, graph.num_edges)), dtype=object)
+            cached = (
+                matrix, threading.Lock(), arc_tails, arc_heads,
+                graph.adjacency_edge_ids, ints,
             )
-            _active_backend = _LISTS_BACKEND
-    return _active_backend
+        graph.substrate_cache[_CSGRAPH_CACHE_KEY] = cached
+    return cached if cached[0] is not None else None
 
 
-def set_backend(name: str):
-    """Select the process-global shortest-path backend by name.
+def compiled_tree(
+    graph: CapacitatedGraph, weights: np.ndarray, source: int
+) -> tuple[list[float], list[int], list[int]] | None:
+    """One full tree from ``scipy.sparse.csgraph.dijkstra``, or ``None``.
 
-    Returns the backend instance.  Raises ``KeyError`` for unknown names and
-    ``ImportError`` when the scipy backend is requested without scipy.
+    Returns ``(dist, parent_vertex, parent_edge)`` as plain lists, equal to
+    what :func:`dijkstra_lists` returns, or ``None`` outside the contract
+    (parallel arcs, a weight ``<= 0``, a reachable vertex without a
+    strictly tight in-arc — see the module docstring).  Ignores
+    :data:`COMPILED_MIN_VERTICES`; :func:`shortest_path_tree` applies it.
     """
-    global _active_backend
-    key = str(name).strip().lower()
-    if key not in _BACKENDS:
-        raise KeyError(
-            f"unknown shortest-path backend {name!r}; available: {available_backends()}"
-        )
-    _active_backend = _LISTS_BACKEND if key == "lists" else _BACKENDS[key]()
-    return _active_backend
+    structure = _csgraph_structure(graph)
+    if structure is None:
+        return None
+    matrix, lock, arc_tails, arc_heads, arc_eids, ints = structure
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    with lock:
+        arc_w = matrix.data
+        np.take(weights, arc_eids, out=arc_w, mode="clip")
+        if arc_w.size and not arc_w.min() > 0.0:
+            return None
+        dist = csgraph_dijkstra(matrix, directed=True, indices=source)
+        dist_tail = dist[arc_tails]
+        with np.errstate(over="ignore"):
+            sums = dist_tail + arc_w
+    dist_head = dist[arc_heads]
+    tight = np.flatnonzero((sums == dist_head) & (dist_tail < dist_head))
+    heads = arc_heads[tight]
+    order = np.lexsort((tight, dist_tail[tight], heads))
+    heads = heads[order]
+    first = np.empty(heads.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(heads[1:], heads[:-1], out=first[1:])
+    winners = tight[order[first]]
+    # Every reachable vertex but the source needs exactly one parent (an
+    # overflowed ``d + w == inf`` arc also lands here and declines).
+    if winners.size != np.count_nonzero(dist < np.inf) - 1:
+        return None
+    parent_vertex = np.full(graph.num_vertices, -1, dtype=np.int64)
+    parent_edge = parent_vertex.copy()
+    win_heads = arc_heads[winners]
+    parent_vertex[win_heads] = arc_tails[winners]
+    parent_edge[win_heads] = arc_eids[winners]
+    return (
+        dist.tolist(),
+        ints[parent_vertex + 1].tolist(),
+        ints[parent_edge + 1].tolist(),
+    )
 
 
-def set_backend_from_cli(name: str, parser) -> None:
-    """:func:`set_backend` with argparse-friendly error reporting.
+def shortest_path_tree(
+    graph: CapacitatedGraph,
+    weights: np.ndarray,
+    weights_list: list[float] | None,
+    source: int,
+) -> tuple[list[float], list[int], list[int]]:
+    """The full shortest-path tree of ``source`` as ``(dist, parent_vertex,
+    parent_edge)`` lists, by the size-selected path of the module docstring.
 
-    Shared by the experiments and scenarios CLIs' ``--backend`` flags: an
-    explicit argument always beats an inherited ``REPRO_SP_BACKEND``; an
-    unknown or unavailable backend exits via ``parser.error``.
+    ``weights`` is the float64 weight vector (assumed validated);
+    ``weights_list`` its ``tolist()`` form if the caller has it cached.
     """
-    try:
-        set_backend(name)
-    except (KeyError, ImportError) as exc:
-        parser.error(str(exc))
-
-
-@contextmanager
-def use_backend(name: str):
-    """Context manager form of :func:`set_backend` (restores the previous
-    backend on exit) — the parity tests' workhorse."""
-    global _active_backend
-    previous = get_backend()
-    set_backend(name)
-    try:
-        yield _active_backend
-    finally:
-        _active_backend = previous
+    if graph.num_vertices >= COMPILED_MIN_VERTICES:
+        tree = compiled_tree(graph, weights, source)
+        if tree is not None:
+            return tree
+    indptr, heads, eids = graph.csr_lists()
+    w = weights_list if weights_list is not None else weights.tolist()
+    return dijkstra_lists(graph.num_vertices, indptr, heads, eids, w, source)
 
 
 def single_source_dijkstra(
@@ -490,28 +371,21 @@ def single_source_dijkstra(
     Notes
     -----
     The output is bit-for-bit identical to :func:`reference_dijkstra` —
-    same distances, same parents, same extracted paths — whichever backend
-    is active (the scipy backend replays the lists kernel's tie-breaking).
-    The ``targets`` early exit is a lists-kernel-only optimization, so
-    passing ``targets`` always uses the lists kernel.
+    same distances, same parents, same extracted paths.  Full trees go
+    through the active compute kernel, hence :func:`shortest_path_tree`;
+    the ``targets`` early exit always runs the Python loop.
     """
+    from repro.kernels import get_kernel
+
     n = graph.num_vertices
     source = int(source)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range")
     weights = _validate_weights(graph, weights)
-
-    if targets is not None:
-        from repro.kernels import get_kernel
-
-        remaining = set(int(t) for t in targets)
-        dist, parent_vertex, parent_edge = get_kernel().dijkstra(
-            graph, weights, None, source, remaining
-        )
-    else:
-        dist, parent_vertex, parent_edge = get_backend().trees(
-            graph, [source], weights
-        )[0]
+    remaining = None if targets is None else set(int(t) for t in targets)
+    dist, parent_vertex, parent_edge = get_kernel().dijkstra(
+        graph, weights, None, source, remaining
+    )
 
     return ShortestPathResult(
         source=source,
@@ -519,36 +393,6 @@ def single_source_dijkstra(
         parent_vertex=np.asarray(parent_vertex, dtype=np.int64),
         parent_edge=np.asarray(parent_edge, dtype=np.int64),
     )
-
-
-def multi_source_dijkstra(
-    graph: CapacitatedGraph,
-    sources,
-    weights: np.ndarray,
-) -> list[ShortestPathResult]:
-    """Full shortest-path trees for several sources in one backend call.
-
-    Under the scipy backend all distance computations happen in a single
-    vectorized ``csgraph.dijkstra`` call; under the lists backend this is an
-    ordinary loop.  Each returned tree is bit-identical to the corresponding
-    :func:`single_source_dijkstra` result.
-    """
-    n = graph.num_vertices
-    sources = [int(s) for s in sources]
-    for s in sources:
-        if not 0 <= s < n:
-            raise ValueError(f"source {s} out of range")
-    weights = _validate_weights(graph, weights)
-    trees = get_backend().trees(graph, sources, weights) if sources else []
-    return [
-        ShortestPathResult(
-            source=s,
-            distances=np.asarray(dist, dtype=np.float64),
-            parent_vertex=np.asarray(pv, dtype=np.int64),
-            parent_edge=np.asarray(pe, dtype=np.int64),
-        )
-        for s, (dist, pv, pe) in zip(sources, trees)
-    ]
 
 
 def reference_dijkstra(

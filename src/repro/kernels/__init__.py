@@ -1,25 +1,20 @@
 """The unified compute-kernel layer: hot loops behind one registry.
 
 Three inner loops dominate every auction round of this reproduction — the
-array-heap Dijkstra (:func:`repro.graphs.shortest_path.dijkstra_lists`),
-the exponential dual update of the commit path
+shortest-path tree (:func:`repro.graphs.shortest_path.shortest_path_tree`,
+which picks the Python heap loop or the compiled csgraph path by graph
+size), the exponential dual update of the commit path
 (:meth:`repro.core.dual_state.DualWeights.apply_selection`) and the
 vectorized CSR bundle scoring of the MUCA engine.  This package hoists all
-three behind a process-global **kernel registry** mirroring the
-shortest-path backend registry of :mod:`repro.graphs.shortest_path`:
+three behind a process-global **kernel registry**:
 
-* ``"lists"`` — today's pure-Python reference code, unchanged (the
-  default).  Every other tier is tested bit-identical against it.
-* ``"numpy"`` — always available.  Same Dijkstra loop (a sequential binary
-  heap gains nothing from numpy), but two vectorized wins on the commit
-  path: a *multiplier-table* dual update (the per-edge factors
+* ``"lists"`` — the reference code (the default).  Every other tier is
+  tested bit-identical against it.
+* ``"numpy"`` — always available.  Same tree path, but a vectorized
+  *multiplier-table* dual update on the commit path (the per-edge factors
   ``exp(eps B d / c_e)`` are precomputed over the whole capacity vector
   once per distinct demand and shared across runs on the same substrate —
-  payment bisections replay the same demands hundreds of times) and a
-  *bitmask invalidation index* for the pricing engine's tree cache
-  (per-source edge sets become Python-int bitmasks; registering a tree is
-  one dict store and invalidating a path is one AND-scan instead of
-  dict-of-sets churn).
+  payment bisections replay the same demands hundreds of times).
 * ``"numba"`` — optional, auto-detected.  The array-heap Dijkstra is
   JIT-compiled over int64/float64 CSR arrays with the exact relaxation
   arithmetic and ``(dist, vertex)`` tie-breaking of the lists loop; the
@@ -33,21 +28,21 @@ Determinism contract
 --------------------
 All tiers are **bit-identical** on every output the test suite pins:
 allocations, payments, trace replays and campaign-store content hashes,
-across both shortest-path backends, with and without tracing, at any
-``jobs=``.  The numpy tier's two optimizations preserve bits by
-construction: IEEE division is correctly rounded per element and numpy's
-``exp`` ufunc is positionally stable (``np.exp(x)[ids] ==
-np.exp(x[ids])``, verified by the kernel test suite), so gathering from a
-full-vector multiplier table equals the reference's per-path computation;
-the bitmask index changes only *bookkeeping*, never which trees are
-evicted.  ``math.exp`` is forbidden in every tier — it disagrees with
-``np.exp`` in the last ulp on a few percent of inputs.
+with and without tracing, at any ``jobs=``.  The numpy tier's dual update
+preserves bits by construction: IEEE division is correctly rounded per
+element and numpy's ``exp`` ufunc is positionally stable
+(``np.exp(x)[ids] == np.exp(x[ids])``, verified by the kernel test
+suite), so gathering from a full-vector multiplier table equals the
+reference's per-path computation.  ``math.exp`` is forbidden in every
+tier — it disagrees with ``np.exp`` in the last ulp on a few percent of
+inputs.  The pricing engine's tree-cache invalidation index is not part
+of a kernel: every tier uses the same bitmask index
+(:class:`repro.kernels.numpy_tier._BitmaskIndex`).
 
-Selection mirrors the SP-backend contract: :func:`set_kernel` /
-:func:`use_kernel` / the ``REPRO_KERNEL`` environment variable, with an
-explicit choice (programmatic or ``--kernel``) always beating the
-environment, including inside ``pmap`` workers (the parent resolves the
-kernel pre-fork and ships it, exactly as it ships the SP backend).
+Selection: :func:`set_kernel` / :func:`use_kernel` / the ``REPRO_KERNEL``
+environment variable, with an explicit choice (programmatic or
+``--kernel``) always beating the environment, including inside ``pmap``
+workers (the parent resolves the kernel pre-fork and ships it).
 """
 
 from __future__ import annotations

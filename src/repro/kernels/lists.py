@@ -3,17 +3,24 @@
 This tier *is* the specification.  The numpy and numba tiers are accepted
 only because the parity suite shows them bit-identical to the outputs of
 this module on the pinned fuzz corpus; any future kernel must clear the
-same bar.  Nothing here is new code — the Dijkstra wrapper delegates to
-:func:`repro.graphs.shortest_path.dijkstra_lists`, and the dual-update /
-bundle-scoring bodies are the exact expressions hoisted out of
-``DualWeights.apply_selection`` and ``BundlePricingEngine.__init__``.
+same bar.  The Dijkstra wrapper delegates to
+:func:`repro.graphs.shortest_path.shortest_path_tree` for full trees (the
+size-selected tree path, bit-identical to the Python loop) and to
+:func:`~repro.graphs.shortest_path.dijkstra_lists` for ``targets`` early
+exits; the dual-update / bundle-scoring bodies are the exact expressions
+hoisted out of ``DualWeights.apply_selection`` and
+``BundlePricingEngine.__init__``.
+
+:class:`_EdgeSetIndex` is the reference form of the pricing engine's
+tree-cache invalidation index, kept as the test oracle for the bitmask
+index the engine uses (:class:`repro.kernels.numpy_tier._BitmaskIndex`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.shortest_path import dijkstra_lists
+from repro.graphs.shortest_path import dijkstra_lists, shortest_path_tree
 
 __all__ = ["ListsKernel"]
 
@@ -35,8 +42,8 @@ class _EdgeSetIndex:
 
     Maps each cached shortest-path tree to the set of edge ids it uses and
     each edge id to the sources whose trees use it — the seed's
-    ``_edge_sources`` bookkeeping, extracted behind the index protocol so
-    the numpy tier can swap in a bitmask representation.
+    ``_edge_sources`` bookkeeping, kept as the differential oracle of the
+    bitmask index the engine runs.
     """
 
     __slots__ = ("_edge_sources", "_tree_edges")
@@ -49,7 +56,7 @@ class _EdgeSetIndex:
         """Index ``tree`` for ``source``.  The engine contract is that
         ``source`` is not currently indexed (its previous tree, if any, was
         evicted through :meth:`invalidate`/:meth:`discard` first)."""
-        edge_set = tree.edge_set
+        edge_set = frozenset(_iter_mask_bits(tree.edge_mask))
         self._tree_edges[source] = edge_set
         for eid in edge_set:
             self._edge_sources.setdefault(eid, set()).add(source)
@@ -133,6 +140,8 @@ class ListsKernel:
         it).  Returns ``(dist, parent_vertex, parent_edge)`` exactly as
         :func:`dijkstra_lists` does.
         """
+        if targets is None:
+            return shortest_path_tree(graph, weights, weights_list, source)
         indptr, heads, eids = graph.csr_lists()
         w = weights_list if weights_list is not None else weights.tolist()
         return dijkstra_lists(
@@ -150,6 +159,3 @@ class ListsKernel:
 
     def bundle_scores(self, weights, flat, starts, values):
         return _bundle_scores(weights, flat, starts, values)
-
-    def make_invalidation_index(self):
-        return _EdgeSetIndex()

@@ -19,10 +19,10 @@ change which vertex settles next, hence every ``nd`` is computed from the
 same operands in the same order as the reference.  The parity suite
 re-checks this on the pinned corpus whenever numba is present.
 
-The commit-path methods (dual update, bundle scoring, invalidation index)
-are inherited from the numpy tier unchanged: re-deriving ``exp`` inside a
-JIT region could round differently from numpy's ufunc, and the
-determinism contract outranks the last factor of speed there.
+The commit-path methods (dual update, bundle scoring) are inherited from
+the numpy tier unchanged: re-deriving ``exp`` inside a JIT region could
+round differently from numpy's ufunc, and the determinism contract
+outranks the last factor of speed there.
 """
 
 from __future__ import annotations

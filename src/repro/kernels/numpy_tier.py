@@ -1,9 +1,9 @@
-"""Numpy compute kernel: vectorized commit path, bit-identical by proof.
+"""Numpy compute kernel: vectorized dual update, bit-identical by proof.
 
-Two optimizations over the lists tier, both on the round-loop commit path
-(profiling on ``payments_replay_medium`` puts ~60% of engine time in dual
-updates plus tree-cache bookkeeping; the Dijkstra heap itself is
-sequential and gains nothing from numpy, so this tier inherits it):
+One optimization over the lists tier, on the round-loop commit path (the
+Dijkstra heap itself is sequential and gains nothing from numpy, so this
+tier inherits the lists tier's tree path).  The module also holds the
+pricing engine's tree-cache invalidation index, which every tier shares.
 
 **Multiplier-table dual update.**  The reference computes
 ``y[ids] * np.exp(eps * B * d / caps[ids])`` per committed path.  Payment
@@ -24,11 +24,13 @@ cache would miss every time.
 **Bitmask invalidation index.**  The pricing engine's tree cache keeps,
 per cached source, the set of edge ids its tree uses, and evicts trees
 whose edges got repriced.  Python ints are arbitrary-width bit vectors
-with C-speed bitwise ops, so this tier stores each tree's edge set as one
-int mask and each invalidation as one OR + AND-scan, replacing the
-reference's dict-of-sets churn (the other ~35% of the profile).  Only
-bookkeeping changes — the *set* of evicted sources is provably equal, and
-the caller still evicts in sorted order.
+with C-speed bitwise ops, so :class:`_BitmaskIndex` stores each tree's
+edge set as one int mask (built once per tree, without a per-edge Python
+loop, by the engine) and each invalidation as one OR + AND-scan.  It is
+the engine's only index, whatever the kernel; the dict-of-sets
+:class:`repro.kernels.lists._EdgeSetIndex` stays as its test oracle.
+Only bookkeeping differs between the two — the *set* of evicted sources
+is provably equal, and the caller evicts in sorted order.
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ class _BitmaskIndex:
 
     def register(self, source: int, tree) -> None:
         mask = tree.edge_mask
-        if mask is None:
-            mask = 0
-            for eid in tree.edge_set:
-                mask |= 1 << eid
-            tree.edge_mask = mask
         self._tree_masks[source] = mask
         self._union_mask |= mask
 
@@ -169,6 +166,3 @@ class NumpyKernel(ListsKernel):
 
     def bundle_scores(self, weights, flat, starts, values):
         return _bundle_scores(weights, flat, starts, values)
-
-    def make_invalidation_index(self):
-        return _BitmaskIndex()

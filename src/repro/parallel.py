@@ -206,27 +206,18 @@ def _fork_child_init() -> None:
 def _spawn_child_init(
     fn: Callable[..., Any],
     payload: Any,
-    backend_name: str | None,
     kernel_name: str | None = None,
 ) -> None:
     """Initializer for spawn/forkserver workers: install the pickled state.
 
-    The parent's resolved shortest-path backend and compute kernel are
-    installed explicitly so inherited ``REPRO_SP_BACKEND`` /
-    ``REPRO_KERNEL`` environment variables can never override selections
-    the caller made programmatically (fork workers inherit the resolved
-    objects and need no such step)."""
+    The parent's resolved compute kernel is installed explicitly so an
+    inherited ``REPRO_KERNEL`` environment variable can never override a
+    selection the caller made programmatically (fork workers inherit the
+    resolved object and need no such step)."""
     global _WORKER_FN, _WORKER_PAYLOAD, _IN_WORKER
     _WORKER_FN = fn
     _WORKER_PAYLOAD = payload
     _IN_WORKER = True
-    if backend_name is not None:  # pragma: no cover - non-fork platforms only
-        from repro.graphs import shortest_path
-
-        try:
-            shortest_path.set_backend(backend_name)
-        except (KeyError, ImportError):
-            pass
     if kernel_name is not None:  # pragma: no cover - non-fork platforms only
         import repro.kernels as kernels
 
@@ -341,17 +332,13 @@ def pmap(
             )
             return pmap(fn, tasks, jobs=1, payload=payload)
 
-    # Resolve the shortest-path backend and the compute kernel in the
-    # parent before any worker exists: fork children then inherit the
-    # parent's (possibly explicit) choices instead of each re-resolving
-    # REPRO_SP_BACKEND / REPRO_KERNEL, and spawn children are handed the
-    # resolved names.  Explicit `set_backend()` / `set_kernel()` /
-    # `--backend` / `--kernel` selections therefore always beat inherited
-    # env vars inside workers.
-    from repro.graphs.shortest_path import get_backend
+    # Resolve the compute kernel in the parent before any worker exists:
+    # fork children then inherit the parent's (possibly explicit) choice
+    # instead of each re-resolving REPRO_KERNEL, and spawn children are
+    # handed the resolved name.  Explicit `set_kernel()` / `--kernel`
+    # selections therefore always beat an inherited env var inside workers.
     from repro.kernels import get_kernel
 
-    backend_name = get_backend().name
     kernel_name = get_kernel().name
 
     prev_fn, prev_payload = _WORKER_FN, _WORKER_PAYLOAD
@@ -368,7 +355,7 @@ def pmap(
                 max_workers=jobs,
                 mp_context=context,
                 initializer=_spawn_child_init,
-                initargs=(fn, payload, backend_name, kernel_name),
+                initargs=(fn, payload, kernel_name),
             )
         if on_error != "capture":
             with executor:
@@ -395,9 +382,7 @@ def pmap(
                     by_chunk[index] = [_capture(exc) for _ in chunks[index]]
         for index in broken:
             by_chunk[index] = [
-                _run_task_isolated(
-                    task, use_fork, fn, payload, backend_name, kernel_name
-                )
+                _run_task_isolated(task, use_fork, fn, payload, kernel_name)
                 for task in chunks[index]
             ]
         return [result for chunk in by_chunk for result in chunk]
@@ -410,7 +395,6 @@ def _run_task_isolated(
     use_fork: bool,
     fn: Callable[..., Any],
     payload: Any,
-    backend_name: str | None,
     kernel_name: str | None = None,
 ) -> Any:
     """Run one task in a fresh single-worker pool (capture-mode crash retry).
@@ -432,7 +416,7 @@ def _run_task_isolated(
             max_workers=1,
             mp_context=context,
             initializer=_spawn_child_init,
-            initargs=(fn, payload, backend_name, kernel_name),
+            initargs=(fn, payload, kernel_name),
         )
     try:
         with executor:

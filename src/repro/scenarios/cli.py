@@ -16,9 +16,8 @@ Subcommands
     Render the comparison table of a store without running anything.
 
 ``--jobs`` fans cells over worker processes (results bit-identical at any
-value); an explicit ``--jobs``/``--backend``/``--kernel`` always beats the
-inherited ``REPRO_JOBS``/``REPRO_SP_BACKEND``/``REPRO_KERNEL`` environment
-variables.
+value); an explicit ``--jobs``/``--kernel`` always beats the inherited
+``REPRO_JOBS``/``REPRO_KERNEL`` environment variables.
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for the cell fan-out (default: REPRO_JOBS env "
         "or serial; 0 = all cores; results are bit-identical at any --jobs)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="shortest-path backend (e.g. 'lists', 'scipy'); an explicit "
-        "choice beats an inherited REPRO_SP_BACKEND env var",
     )
     parser.add_argument(
         "--kernel",
@@ -190,16 +183,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("topology families: " + ", ".join(available_families()))
         return 0
 
-    if args.backend:
-        # Explicit argument beats any inherited REPRO_SP_BACKEND value
-        # (including inside --jobs worker processes, which inherit the
-        # parent's resolved backend).
-        from repro.graphs.shortest_path import set_backend_from_cli
-
-        set_backend_from_cli(args.backend, parser)
-
     if getattr(args, "kernel", None):
-        # Same precedence contract as --backend, for the compute kernel.
+        # Explicit argument beats any inherited REPRO_KERNEL value
+        # (including inside --jobs worker processes, which inherit the
+        # parent's resolved kernel).
         from repro.kernels import set_kernel_from_cli
 
         set_kernel_from_cli(args.kernel, parser)

@@ -1,18 +1,20 @@
-"""Parity matrix: compute kernels × shortest-path backends vs the reference.
+"""Parity matrix: compute kernels × shortest-path tree paths vs the reference.
 
-Two process-global registries can change *how* the hot loops run without
-being allowed to change a single output bit: the shortest-path backend
-registry of :mod:`repro.graphs.shortest_path` (``lists`` / ``scipy``) and
-the compute-kernel registry of :mod:`repro.kernels` (``lists`` / ``numpy``
-/ ``numba``).  This suite replays the differential-fuzz corpus (the same
-pinned-seed instance distribution as ``test_differential_fuzz``) once per
-(backend, kernel) combination and compares every run exactly against the
-memoized ``(lists, lists)`` reference.  Instances are rebuilt from the
-seed for each combination so the per-graph tree memo of one run cannot
-mask divergence in another.
+Two choices change *how* the hot loops run without being allowed to change
+a single output bit: which path computes full shortest-path trees (the
+Python heap loop ``lists``, or the compiled csgraph path ``scipy``; see
+:mod:`repro.graphs.shortest_path`) and the compute-kernel registry of
+:mod:`repro.kernels` (``lists`` / ``numpy`` / ``numba``).  The corpus
+graphs have 4–20 vertices, below the compiled path's size crossover, so
+each row pins its tree path for every graph size (``use_tree_path``).
+This suite replays the differential-fuzz corpus (the same pinned-seed
+instance distribution as ``test_differential_fuzz``) once per (tree path,
+kernel) combination and compares every run exactly against the memoized
+``(lists, lists)`` reference.  Instances are rebuilt from the seed for
+each combination so the per-graph tree memo of one run cannot mask
+divergence in another.
 
-Combinations whose optional dependency is missing are skipped with a
-reason (scipy rows without scipy, numba rows without numba) — the *silent
+Numba rows are skipped with a reason when numba is missing — the *silent
 env fallback* path for a missing numba is covered separately in
 ``test_env_precedence.py``.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from tree_paths import use_tree_path
 
 from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz suite)
     DIJKSTRA_SEEDS,
@@ -35,38 +38,25 @@ from test_differential_fuzz import (  # noqa: E402  (corpus shared with the fuzz
 from repro.auctions import correlated_auction, random_auction  # noqa: E402
 from repro.core import bounded_muca, bounded_ufp, bounded_ufp_repeat  # noqa: E402
 from repro.graphs.generators import random_digraph, random_graph  # noqa: E402
-from repro.graphs.shortest_path import (  # noqa: E402
-    multi_source_dijkstra,
-    single_source_dijkstra,
-    use_backend,
-)
+from repro.graphs.shortest_path import single_source_dijkstra  # noqa: E402
 from repro.kernels import kernel_available, use_kernel  # noqa: E402
 from repro.online import Batch, OnlineAuction  # noqa: E402
 from repro.utils.prng import ensure_rng  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
 
-_HAVE_SCIPY = True
-try:
-    import scipy  # noqa: F401
-except ImportError:
-    _HAVE_SCIPY = False
 _HAVE_NUMBA = kernel_available("numba")
 
 
 def _combo_params():
-    """Every non-reference (backend, kernel) combination, each skipped with
-    a reason when its optional dependency is absent."""
+    """Every non-reference (tree path, kernel) combination; numba rows are
+    skipped with a reason when numba is absent."""
     params = []
-    for backend in ("lists", "scipy"):
+    for tree_path in ("lists", "scipy"):
         for kernel in ("lists", "numpy", "numba"):
-            if (backend, kernel) == ("lists", "lists"):
+            if (tree_path, kernel) == ("lists", "lists"):
                 continue  # the reference itself
             marks = []
-            if backend == "scipy" and not _HAVE_SCIPY:
-                marks.append(
-                    pytest.mark.skip(reason="the scipy backend needs scipy")
-                )
             if kernel == "numba" and not _HAVE_NUMBA:
                 marks.append(
                     pytest.mark.skip(
@@ -75,7 +65,9 @@ def _combo_params():
                     )
                 )
             params.append(
-                pytest.param((backend, kernel), id=f"{backend}-{kernel}", marks=marks)
+                pytest.param(
+                    (tree_path, kernel), id=f"{tree_path}-{kernel}", marks=marks
+                )
             )
     return params
 
@@ -90,13 +82,13 @@ _REFERENCE_CACHE: dict = {}
 
 
 def _run_combo(family, seed, combo, make_instance, solve):
-    backend, kernel = combo
+    tree_path, kernel = combo
     key = (family, seed)
     expected = _REFERENCE_CACHE.get(key)
     if expected is None:
-        with use_backend("lists"), use_kernel("lists"):
+        with use_tree_path("lists"), use_kernel("lists"):
             expected = _REFERENCE_CACHE[key] = solve(make_instance())
-    with use_backend(backend), use_kernel(kernel):
+    with use_tree_path(tree_path), use_kernel(kernel):
         actual = solve(make_instance())
     return actual, expected
 
@@ -149,9 +141,9 @@ def _muca_auction(seed):
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", MUCA_SEEDS)
 def test_bounded_muca_parity(seed, combo):
-    # MUCA never touches the graph backend (bundle sums, not paths), but it
-    # does run the kernel's bundle-scoring sweep and dual updates; either
-    # registry flipping must leave the auction untouched.
+    # MUCA never computes a shortest-path tree (bundle sums, not paths),
+    # but it does run the kernel's bundle-scoring sweep and dual updates;
+    # either choice flipping must leave the auction untouched.
     epsilon = [0.3, 0.5, 1.0][seed % 3]
     actual, expected = _run_combo(
         "muca", seed, combo,
@@ -165,7 +157,7 @@ def test_bounded_muca_parity(seed, combo):
 @pytest.mark.parametrize("combo", COMBOS)
 @pytest.mark.parametrize("seed", DIJKSTRA_SEEDS)
 def test_dijkstra_parity(seed, combo):
-    backend, kernel = combo
+    tree_path, kernel = combo
     rng = ensure_rng(seed)
     num_vertices = int(rng.integers(4, 20))
     build = random_digraph if seed % 2 else random_graph
@@ -177,16 +169,18 @@ def test_dijkstra_parity(seed, combo):
         ensure_connected=bool(rng.integers(0, 2)),
     )
     weights = rng.uniform(1e-6, 10.0, size=graph.num_edges)
-    source = int(rng.integers(0, num_vertices))
-    with use_backend("lists"), use_kernel("lists"):
-        expected = single_source_dijkstra(graph, source, weights)
-    with use_backend(backend), use_kernel(kernel):
-        actual = single_source_dijkstra(graph, source, weights)
-        batch = multi_source_dijkstra(graph, range(num_vertices), weights)
-    for result in [actual, batch[source]]:
-        np.testing.assert_array_equal(result.distances, expected.distances)
-        np.testing.assert_array_equal(result.parent_vertex, expected.parent_vertex)
-        np.testing.assert_array_equal(result.parent_edge, expected.parent_edge)
+    with use_tree_path("lists"), use_kernel("lists"):
+        expected = [
+            single_source_dijkstra(graph, s, weights) for s in range(num_vertices)
+        ]
+    with use_tree_path(tree_path), use_kernel(kernel):
+        actual = [
+            single_source_dijkstra(graph, s, weights) for s in range(num_vertices)
+        ]
+    for result, reference in zip(actual, expected):
+        np.testing.assert_array_equal(result.distances, reference.distances)
+        np.testing.assert_array_equal(result.parent_vertex, reference.parent_vertex)
+        np.testing.assert_array_equal(result.parent_edge, reference.parent_edge)
 
 
 @pytest.mark.parametrize("combo", COMBOS)

@@ -1,34 +1,25 @@
 """Environment-knob precedence: explicit arguments beat inherited env vars.
 
-``REPRO_JOBS``, ``REPRO_SP_BACKEND`` and ``REPRO_KERNEL`` are convenience
-defaults; an explicit ``jobs=``/``--jobs``, ``set_backend()``/``--backend``
-or ``set_kernel()``/``--kernel`` must win everywhere — in-process, in the
-CLIs, and inside ``pmap`` worker processes (which inherit the parent's
-environment).
+``REPRO_JOBS`` and ``REPRO_KERNEL`` are convenience defaults; an explicit
+``jobs=``/``--jobs`` or ``set_kernel()``/``--kernel`` must win everywhere —
+in-process, in the CLIs, and inside ``pmap`` worker processes (which
+inherit the parent's environment).
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 
 import pytest
 
 from repro import kernels, parallel
 
-# The repro.graphs package re-exports a *function* called shortest_path
-# that shadows the module attribute; import the module itself.
-sp = importlib.import_module("repro.graphs.shortest_path")
-
 
 @pytest.fixture(autouse=True)
-def _restore_backend():
-    """Pin and restore the process-global backend and kernel around each
-    test."""
-    previous = sp.get_backend()
+def _restore_kernel():
+    """Pin and restore the process-global kernel around each test."""
     previous_kernel = kernels.get_kernel()
     yield
-    sp._active_backend = previous
     kernels._active_kernel = previous_kernel
 
 
@@ -55,79 +46,6 @@ class TestJobsPrecedence:
         parent = os.getpid()
         pids = parallel.pmap(lambda _: os.getpid(), [0, 1, 2], jobs=1)
         assert set(pids) == {parent}
-
-
-def _backend_name(_task):
-    return sp.get_backend().name
-
-
-class TestBackendPrecedence:
-    def test_explicit_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp.set_backend("lists")
-        assert sp.get_backend().name == "lists"
-
-    def test_workers_inherit_explicit_backend(self, monkeypatch):
-        """An explicit backend choice propagates into pmap workers even
-        when the inherited environment says otherwise."""
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp.set_backend("lists")
-        names = parallel.pmap(_backend_name, [0, 1, 2, 3], jobs=2)
-        assert names == ["lists"] * 4
-
-    def test_experiments_cli_backend_flag_beats_env(self, monkeypatch):
-        """--backend wins over REPRO_SP_BACKEND in the experiments CLI."""
-        from repro.experiments import cli as experiments_cli
-
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "scipy")
-        sp._active_backend = None  # force lazy re-resolution from env
-
-        observed = {}
-
-        class _StubSpec:
-            def run(self, **kwargs):
-                observed["backend"] = sp.get_backend().name
-                from repro.experiments.harness import ExperimentResult
-
-                return ExperimentResult(experiment_id="EX", title="stub")
-
-        monkeypatch.setattr(
-            experiments_cli, "get_experiment", lambda _id: _StubSpec()
-        )
-        assert experiments_cli.main(["run", "EX", "--backend", "lists"]) == 0
-        assert observed["backend"] == "lists"
-
-    def test_experiments_cli_unknown_backend_errors(self):
-        from repro.experiments import cli as experiments_cli
-
-        with pytest.raises(SystemExit):
-            experiments_cli.main(["run", "E1", "--backend", "bogus"])
-
-    def test_scenarios_cli_backend_flag_beats_env(self, monkeypatch, tmp_path, capsys):
-        """--backend wins over REPRO_SP_BACKEND in the scenarios CLI, and
-        the campaign result is identical either way."""
-        from repro.scenarios.cli import main as scenarios_main
-
-        suite = {
-            "name": "tiny",
-            "seed": 5,
-            "topologies": [{"name": "g", "family": "grid", "rows": 3, "cols": 3}],
-            "regimes": [{"name": "r", "capacity": 6.0, "num_requests": 6}],
-            "modes": [{"name": "off", "kind": "offline", "bound": "none"}],
-        }
-        spec_path = tmp_path / "suite.json"
-        spec_path.write_text(json.dumps(suite))
-
-        monkeypatch.setenv(sp.BACKEND_ENV_VAR, "bogus-backend")
-        sp._active_backend = None
-        assert (
-            scenarios_main(["run", str(spec_path), "--backend", "lists", "--json"])
-            == 0
-        )
-        # The bogus env var never got resolved: the explicit flag won
-        # without even a warning from the lazy env fallback.
-        assert sp.get_backend().name == "lists"
-        json.loads(capsys.readouterr().out)
 
 
 def _kernel_name(_task):

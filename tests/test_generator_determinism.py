@@ -163,41 +163,36 @@ def test_constant_capacity_generators_pass_rng_through(name):
     assert rng.integers(0, 2**31) == untouched.integers(0, 2**31)
 
 
-def _scipy_available() -> bool:
-    try:
-        import scipy  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a test dependency
-        return False
-    return True
-
-
-@pytest.mark.skipif(not _scipy_available(), reason="scipy backend unavailable")
 @pytest.mark.parametrize("family", ["waxman", "fat_tree"])
 def test_backend_parity_on_new_topologies(family):
-    """scipy and lists shortest-path backends must produce bit-identical
-    Bounded-UFP allocations on the new topology families."""
+    """The Python and the compiled shortest-path tree paths must produce
+    bit-identical Bounded-UFP allocations on the new topology families."""
+    from tree_paths import use_tree_path
+
     from repro.core import bounded_ufp
     from repro.flows import UFPInstance
-    from repro.graphs import use_backend
 
-    if family == "waxman":
-        graph = waxman_graph(16, 12.0, seed=21)
-        terminals = None
-    else:
-        graph = fat_tree_topology(4, 48.0, 24.0, 12.0, seed=21)
-        from repro.graphs import fat_tree_host_range
+    def make_instance():
+        # Rebuilt per tree path so the per-graph tree memo of one run
+        # cannot mask a divergence in the other.
+        if family == "waxman":
+            graph = waxman_graph(16, 12.0, seed=21)
+            terminals = None
+        else:
+            graph = fat_tree_topology(4, 48.0, 24.0, 12.0, seed=21)
+            from repro.graphs import fat_tree_host_range
 
-        terminals = list(fat_tree_host_range(4))
-    requests = random_requests(
-        graph, 40, seed=22, sources=terminals, targets=terminals
-    )
-    instance = UFPInstance(graph, requests, name=f"parity-{family}")
+            terminals = list(fat_tree_host_range(4))
+        requests = random_requests(
+            graph, 40, seed=22, sources=terminals, targets=terminals
+        )
+        return UFPInstance(graph, requests, name=f"parity-{family}")
 
     allocations = {}
-    for backend in ("lists", "scipy"):
-        with use_backend(backend):
-            allocation = bounded_ufp(instance, 0.4)
-        allocations[backend] = [
+    for tree_path in ("lists", "scipy"):
+        with use_tree_path(tree_path):
+            allocation = bounded_ufp(make_instance(), 0.4)
+        allocations[tree_path] = [
             (item.request_index, tuple(item.vertices)) for item in allocation.routed
         ]
     assert allocations["lists"] == allocations["scipy"]

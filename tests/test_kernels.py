@@ -172,8 +172,7 @@ class TestDualUpdate:
 # --------------------------------------------------------------------- #
 class _FakeTree:
     def __init__(self, edge_set):
-        self.edge_set = frozenset(edge_set)
-        self.edge_mask = None
+        self.edge_mask = sum(1 << e for e in set(edge_set))
 
 
 class TestInvalidationIndex:

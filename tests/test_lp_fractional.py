@@ -92,7 +92,7 @@ class TestPathLP:
 
     def test_disabled_edge_carries_no_flow_in_either_formulation(self):
         # Regression: the edge LP used to route over disabled edges, which
-        # the path LP (and every shortest-path backend) never sees.
+        # the path LP (and every shortest-path tree) never sees.
         graph = CapacitatedGraph(
             2, [(0, 1, 1.0), (0, 1, 1.0)], directed=True, disabled_edges=[1]
         )
