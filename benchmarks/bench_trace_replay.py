@@ -13,8 +13,8 @@ only wall-clock changes.  The headline rows:
   congested medium instance, the ISSUE-4 ≥5x target workload;
 * ``audit_truthfulness`` — the E4-style audit on the same instance family;
 * ``online_threshold_payments`` — per-batch critical values under the
-  posted-price policy, where the recorded admission score also certifies a
-  not-admitted-below bisection bound;
+  posted-price policy, answered by threshold against each winner's recorded
+  continuation and the admission threshold;
 * ``trace_overhead`` — one solver run with recording on vs off (the price
   of producing a trace nobody replays).
 """

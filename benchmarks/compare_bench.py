@@ -6,12 +6,13 @@ on the fully-qualified test name) and exits non-zero when any current mean
 exceeds ``threshold`` times the baseline mean, or when a baseline benchmark
 vanished from the current run::
 
-    python benchmarks/compare_bench.py BENCH_PR3.json benchmarks/BENCH_PR3.json \
-        --threshold 1.20
+    python benchmarks/compare_bench.py BENCH_PR4.json benchmarks/BENCH_PR4.json \
+        --threshold 1.20 --normalize
 
-The committed baseline (``benchmarks/BENCH_PR3.json``) encodes absolute
-times from the reference machine.  CI runners belong to a different (and
-varying) machine class, so absolute comparison would fail on runner speed
+The committed baseline (``benchmarks/BENCH_PR4.json``, recorded from
+``benchmarks/bench_pr4_gate.py``) encodes absolute times from the reference
+machine.  CI runners belong to a different (and varying) machine class, so
+absolute comparison would fail on runner speed
 rather than code: ``--normalize`` therefore divides every mean by the
 geometric mean of its own file's benchmarks before comparing.  A uniform
 machine-class shift cancels exactly, while a single benchmark regressing by
@@ -22,8 +23,8 @@ aimed at algorithmic regressions (a hot path going accidentally quadratic,
 a cache stopping to hit), not scheduler noise.  Regenerate the baseline
 after an intentional perf change with::
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_pr3_gate.py -q \
-        --benchmark-json=benchmarks/BENCH_PR3.json
+    PYTHONPATH=src python -m pytest benchmarks/bench_pr4_gate.py -q \
+        --benchmark-json=benchmarks/BENCH_PR4.json
 """
 
 from __future__ import annotations

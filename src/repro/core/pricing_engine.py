@@ -1023,30 +1023,6 @@ class PathPricingEngine:
         heap entries are lazily deleted, as for unroutable drops."""
         self._drop(index)
 
-    def revive(self, index: int) -> None:
-        """Undo a :meth:`drop_request` (or an unroutable drop) restored from
-        a checkpoint: the request re-enters the pool as live-but-unpriced;
-        follow with :meth:`push_fresh`.  No-op when already live."""
-        if self._dropped[index]:
-            self._dropped[index] = 0
-            self._pending += 1
-            source = self._requests[index].source
-            self._source_live[source] = self._source_live.get(source, 0) + 1
-
-    def peek_min_bound(self) -> float:
-        """The smallest live heap key — a lower bound on every pending
-        request's current score (``inf`` when nothing is pending).
-
-        Entries of retired requests are lazily deleted here exactly as in
-        :meth:`select`; in keep-selectable mode the most recent winner's
-        own stale entry may be the minimum, which keeps the value a sound
-        (if weak) bound on the runner-up score the trace replayer wants.
-        """
-        heap = self._heap
-        while heap and (self._selected[heap[0][1]] or self._dropped[heap[0][1]]):
-            heapq.heappop(heap)
-        return heap[0][0] if heap else math.inf
-
 
 class PathEngineCheckpoint:
     """Immutable snapshot of a :class:`PathPricingEngine`'s mutable state.

@@ -64,20 +64,34 @@ Two probe answers are free:
 * in the online threshold policy, a probe whose score lower bound exceeds
   the admission threshold can never be admitted.
 
-Certificates for bisection brackets
------------------------------------
-The recorded round where ``r`` won also yields sound bisection brackets
-(used by :func:`repro.mechanism.payments.compute_ufp_payments`): for any
-score-*increasing* probe (``d'/v' >= d/v``) the prefix up to ``r``'s
-winning round ``k`` is unchanged, so
+Threshold answers for bisection probes
+--------------------------------------
+A critical-value bisection probes one winner ``r`` dozens of times.  Up to
+the first round the probe wins, its run is the base run until ``r``'s
+recorded winning round ``k`` and from there the **excluded continuation**
+— the run from round ``k`` with ``r`` held out of the pool — because
+``r``'s presence changes nothing until its score can contend.
+:class:`TraceReplayer` records, once per winner, ``r``'s exact distance
+``dist_t`` before every round ``t`` (distances do not depend on the
+declaration) and the round's winner score ``s_t``: the base rounds from the
+declaration's own divergence round ``j0`` to ``k``, then the continuation.
+The divergence round only grows with the probe's score ratio ``d / v``, so
+every bisection probe diverges at ``j0`` or later.  A probe ``(d, v)``
+scores ``d / v * dist_t`` at round ``t``, the engine's own expression, so
 
-* if the probe score at round ``k`` (bounded via the recorded winning score
-  ``s_k = (d/v) * dist_k``) stays a safety band below the recorded
-  runner-up lower bound (and below the admission threshold in drain mode),
-  ``r`` still wins round ``k`` — certified **selected**, a sound ``high``;
-* in the online threshold policy, a probe score above the threshold at
-  round ``k`` stays above it forever (scores are monotone) — certified
-  **not admitted**, a sound ``low``.
+* if that score is a safety band below ``s_t`` at some round, with every
+  earlier round a band above, the probe wins that round — **selected**;
+* if it stays a band above ``s_t`` at every round, the probe run ends the
+  way the continuation ended, with one more round if the continuation ran
+  out of requests while the budget and iteration rules still allowed one:
+  a stop on the budget or iteration cap means **not selected**, pool
+  exhaustion means **selected** (the probe is the last routable request),
+  and a threshold drain admits it only if its end-state score clears the
+  threshold.
+
+A probe inside the band at the deciding comparison runs the live replay.
+Either way the answer is the one a from-scratch run gives, so the
+bisection's midpoint sequence, and with it every payment bit, is unchanged.
 """
 
 from __future__ import annotations
@@ -111,11 +125,11 @@ __all__ = [
     "supports_trace",
 ]
 
-#: Safety margins for every divergence / certificate comparison.  The
-#: engines' fuzzy-tie tolerance is an absolute ``1e-15``; a relative
-#: ``1e-9`` plus an absolute ``1e-12`` dominates it (and every float
-#: rounding in the bound arithmetic) at any score magnitude, at the cost of
-#: replaying a handful of extra rounds near exact ties.
+#: Safety margins for every divergence / threshold / certificate
+#: comparison.  The engines' fuzzy-tie tolerance is an absolute ``1e-15``;
+#: a relative ``1e-9`` plus an absolute ``1e-12`` dominates it (and every
+#: float rounding in the bound arithmetic) at any score magnitude, at the
+#: cost of replaying a handful of extra rounds near exact ties.
 _REL_MARGIN = 1e-9
 _ABS_MARGIN = 1e-12
 
@@ -147,7 +161,8 @@ def supports_trace(algorithm: Callable) -> bool:
 
 
 class TraceRound:
-    """One committed round of a recorded run."""
+    """One committed round of a recorded run.  ``runner_up_lb`` is recorded
+    for bundle rounds only (``nan`` on path rounds)."""
 
     __slots__ = (
         "index",
@@ -209,8 +224,6 @@ class RunTrace:
         "checkpoints",
         "stopped_by_budget",
         "completed",
-        "start_iteration",
-        "end_reason",
         "dist_obs",
     )
 
@@ -236,12 +249,6 @@ class RunTrace:
         self.checkpoints: list[TraceCheckpoint] = []
         self.stopped_by_budget = False
         self.completed = False
-        # Sub-trace (excluded-run) bookkeeping: global iteration offset of
-        # round 0 and how the recorded run ended ("budget" | "cap" |
-        # "exhausted" | "no_routable" | "threshold"; None for base traces,
-        # whose probes never need it).
-        self.start_iteration = 0
-        self.end_reason: str | None = None
         # Per-request distance (bundle-price) lower-bound observations
         # harvested from the checkpoint heaps at finish: (round, bound)
         # pairs, rounds increasing, bounds running-max.  A heap entry's
@@ -307,17 +314,12 @@ class TraceRecorder:
         requests: Sequence | None = None,
         admission: str | None = None,
         score_threshold: float = math.inf,
-        initial_dist: Sequence[float] | None = None,
-        start_iteration: int = 0,
     ) -> None:
         """Start recording a path-mode run (``ufp``/``repeat``/``drain``).
 
         Must be called right after engine construction: the initial
         distances are read from the freshly-primed tree cache (one list
         indexing per request) and checkpoint 0 captures the pristine state.
-        ``initial_dist``/``start_iteration`` are the sub-trace hooks: a
-        replayer recording an excluded continuation supplies the distances
-        it cares about and the global iteration offset of round 0.
         """
         t = RunTrace(mode=mode)
         t.instance = instance
@@ -329,13 +331,9 @@ class TraceRecorder:
         t.iteration_cap = iteration_cap
         t.admission = admission
         t.score_threshold = float(score_threshold)
-        t.start_iteration = int(start_iteration)
-        if initial_dist is not None:
-            t.initial_dist = list(initial_dist)
-        else:
-            t.initial_dist = [
-                engine.current_distance(i) for i in range(len(t.requests))
-            ]
+        t.initial_dist = [
+            engine.current_distance(i) for i in range(len(t.requests))
+        ]
         self._active = t
         self.trace = None
         self._take_checkpoint(engine, duals)
@@ -366,8 +364,7 @@ class TraceRecorder:
 
     def record_selected(self, engine: PathPricingEngine, selection: Selection) -> None:
         """Record one path-mode winner.  Call *between* ``select()`` and
-        ``commit()``: the runner-up lower bound must be read before the
-        winner's dual update inflates everyone else's scores."""
+        ``commit()``."""
         t = self._require_active()
         req = engine.request_at(selection.index)
         self._append_round(
@@ -380,7 +377,7 @@ class TraceRecorder:
                     sorted(selection.edge_ids), dtype=np.int64
                 ),
                 demand=req.demand,
-                runner_up_lb=engine.peek_min_bound(),
+                runner_up_lb=math.nan,
             )
         )
 
@@ -388,7 +385,10 @@ class TraceRecorder:
         self, engine: BundlePricingEngine, index: int, score: float
     ) -> None:
         """Bundle-mode twin of :meth:`record_selected` (used as the
-        ``pre_commit_hook`` of ``select_and_commit``)."""
+        ``pre_commit_hook`` of ``select_and_commit``).  The runner-up lower
+        bound is read before the winner's dual update inflates everyone
+        else's scores; it backs :meth:`BundleTraceReplayer
+        .certified_selected_interval`."""
         self._require_active()
         self._append_round(
             TraceRound(
@@ -415,7 +415,6 @@ class TraceRecorder:
         duals: DualWeights,
         *,
         stopped_by_budget: bool,
-        end_reason: str | None = None,
     ) -> None:
         """Seal the trace (taking a final checkpoint so threshold-mode tail
         probes resume at the end state for free) and publish it."""
@@ -423,7 +422,6 @@ class TraceRecorder:
         if t.checkpoints[-1].round_index < len(t.rounds):
             self._take_checkpoint(engine, duals)
         t.stopped_by_budget = bool(stopped_by_budget)
-        t.end_reason = end_reason
         self._harvest_observations(t)
         t.completed = True
         self.trace = t
@@ -510,11 +508,16 @@ class TraceRecorder:
 
 @dataclass
 class ReplayStats:
-    """Work counters of one replayer (aggregated over all its probes)."""
+    """Work counters of one replayer (aggregated over all its probes).
+
+    ``threshold_answers`` counts probes answered from a recorded excluded
+    continuation without any replay; ``certificate_hits`` counts MUCA
+    bisection probes answered by the recorded winning round's margin.
+    """
 
     probes: int = 0
-    cache_hits: int = 0
     trivial_probes: int = 0
+    threshold_answers: int = 0
     certificate_hits: int = 0
     rounds_skipped: int = 0
     rounds_replayed: int = 0
@@ -528,8 +531,11 @@ class ReplayStats:
     def as_extra(self, prefix: str = "replay_") -> dict[str, float]:
         return {
             f"{prefix}probes": float(self.probes),
-            f"{prefix}cache_hits": float(self.cache_hits),
+            # Replayers keep no probe memo (bisections and audits never
+            # repeated a probe on one replayer); the key stays for readers.
+            f"{prefix}cache_hits": 0.0,
             f"{prefix}trivial_probes": float(self.trivial_probes),
+            f"{prefix}threshold_answers": float(self.threshold_answers),
             f"{prefix}certificate_hits": float(self.certificate_hits),
             f"{prefix}rounds_skipped": float(self.rounds_skipped),
             f"{prefix}rounds_replayed": float(self.rounds_replayed),
@@ -545,7 +551,6 @@ class _ReplayerBase:
             raise ValueError("cannot replay an unfinished trace")
         self._trace = trace
         self._cp_rounds = [cp.round_index for cp in trace.checkpoints]
-        self._probe_memo: dict[tuple[int, float, float], bool] = {}
         self.stats = ReplayStats()
 
     @property
@@ -600,75 +605,62 @@ class _ReplayerBase:
         pos = bisect_right(self._cp_rounds, round_index) - 1
         return self._trace.checkpoints[pos]
 
-    # -------------------------------------------------------------- #
-    # Certificates (trace-tightened bisection brackets)
-    # -------------------------------------------------------------- #
-    def certified_selected_interval(
-        self, index: int, demand: float
-    ) -> tuple[float, float] | None:
-        """Values certified *selected* for probes ``(demand, v)``.
 
-        Returns ``(v_min, v_max)``: every probe value in the interval is
-        sound to treat as selected without running it, or ``None`` when no
-        certificate exists.  Derivation (see module docstring): the probe
-        must be score-increasing relative to the base declaration
-        (``v <= v_max`` keeps the prefix up to the recorded winning round
-        ``k`` unchanged) and its score at round ``k`` must stay a safety
-        band below the recorded runner-up lower bound — and below the
-        admission threshold in drain mode (``v >= v_min``).  A ``v_min`` of
-        ``0.0`` means round ``k`` had no contender: the critical value is
-        exactly zero.
-        """
-        t = self._trace
-        k = t.first_win.get(index)
-        if k is None:
-            return None
-        round_k = t.rounds[k]
-        orig = self._orig_ratio(index)
-        if not (orig > 0.0) or not math.isfinite(orig):
-            return None
-        v_max = _lower(demand / orig)
-        cap_score = round_k.runner_up_lb
-        if t.mode == "drain" and t.admission == "threshold":
-            cap_score = min(cap_score, t.score_threshold)
-        if cap_score == math.inf:
-            return (0.0, v_max)
-        cap = _lower(cap_score)
-        if cap <= 0.0:
-            return None
-        dist_ub = _upper(round_k.score / orig)
-        v_min = _upper(demand * dist_ub / cap)
-        if v_min > v_max:
-            return None
-        return (v_min, v_max)
+class _Continuation:
+    """One winner's excluded continuation, reduced to what answers probes.
 
-    def not_selected_below(self, index: int, demand: float) -> float:
-        """Largest bound ``L`` with probes ``(demand, v)``, ``v <= L``,
-        certified *not* selected — ``0.0`` when no certificate applies.
+    ``dist[t]`` is the winner's exact distance before round ``start + t``
+    (base rounds up to its winning round, then excluded-continuation
+    rounds); ``lower[t]`` / ``upper[t]`` bracket that round's winner score
+    by the module's margins.  ``end_selected`` is the answer for a
+    probe that wins no round: ``True`` / ``False``, or ``None`` when it
+    depends on the probe's end-state score ``ratio * end_dist`` against the
+    admission ``threshold`` (threshold drains).
+    """
 
-        Only the online threshold policy yields one: at the recorded
-        admission round the probe's exact distance is pinned by the winning
-        score, and a score strictly above the threshold there stays above
-        it forever (scores are monotone), so the request is never admitted.
-        """
-        t = self._trace
-        if t.mode != "drain" or t.admission != "threshold":
-            return 0.0
-        k = t.first_win.get(index)
-        if k is None:
-            return 0.0
-        orig = self._orig_ratio(index)
-        if not (orig > 0.0) or not math.isfinite(orig):
-            return 0.0
-        dist_lb = _lower(t.rounds[k].score / orig)
-        if dist_lb <= 0.0:
-            return 0.0
-        bound = _lower(demand * dist_lb / t.score_threshold)
-        # The prefix-identity argument needs a score-increasing probe.
-        return max(0.0, min(bound, _lower(demand / orig)))
+    __slots__ = (
+        "start", "dist", "lower", "upper", "end_selected", "end_dist", "threshold"
+    )
 
-    def _orig_ratio(self, index: int) -> float:
-        raise NotImplementedError
+    def __init__(
+        self,
+        start: int,
+        dist: list[float],
+        scores: list[float],
+        end_selected: bool | None,
+        end_dist: float = math.nan,
+        threshold: float = math.inf,
+    ) -> None:
+        self.start = start
+        self.dist = np.asarray(dist, dtype=np.float64)
+        winner = np.asarray(scores, dtype=np.float64)
+        margin = _REL_MARGIN * np.abs(winner)
+        self.lower = winner - margin - _ABS_MARGIN
+        self.upper = winner + margin + _ABS_MARGIN
+        self.end_selected = end_selected
+        self.end_dist = end_dist
+        self.threshold = threshold
+
+    def answer(self, demand: float, value: float) -> bool | None:
+        """Whether the probe ``(demand, value)`` is selected, or ``None``
+        when a comparison falls inside the safety band.  Valid for probes
+        whose divergence round is at least :attr:`start`."""
+        ratio = demand / value
+        scores = ratio * self.dist
+        contested = np.flatnonzero(scores <= self.upper)
+        if contested.size:
+            # The first round the probe's score is not clearly above the
+            # winner's: it wins that round outright, or it is a near-tie.
+            first = contested[0]
+            return True if scores[first] < self.lower[first] else None
+        if self.end_selected is not None:
+            return self.end_selected
+        score = ratio * self.end_dist
+        if score < _lower(self.threshold):
+            return True
+        if score > _upper(self.threshold):
+            return False
+        return None
 
 
 class TraceReplayer(_ReplayerBase):
@@ -680,74 +672,44 @@ class TraceReplayer(_ReplayerBase):
     declaration in, re-applies the recorded dual updates up to the
     divergence round and re-runs the greedy loop for the suffix only.
 
-    Bisection probes get a second level of sharing: the first boolean probe
-    of a winner that diverges exactly at its recorded winning round ``k``
-    records the **excluded continuation** — the run from round ``k`` with
-    that winner removed — as a sub-trace of its own (with checkpoints).
-    Every later probe of that winner replays against the sub-trace: a probe
-    whose score (bounded below by the winner's exact distance at round
-    ``k``) never catches the continuation's winner scores is answered with
-    *zero* replay work — not selected when the continuation ended on the
-    budget/cap rule, selected when it ended with the pool exhausted (the
-    probed request is the only routable request left).  Probes that do
-    catch resume from the sub-trace checkpoint just before the catch round.
+    Bisection probes are answered by threshold instead: the first boolean
+    probe of a winner records the winner's exact distance and each round's
+    winner score from its declaration's divergence round on — base rounds
+    up to its winning round, then its **excluded continuation** (see the
+    module docstring).  Every boolean probe of that winner that diverges no
+    earlier is then a vectorized comparison of its per-round scores with
+    those winner scores; only a probe inside the safety band runs the live
+    replay.
     """
 
-    def __init__(
-        self,
-        trace: RunTrace,
-        *,
-        engine: PathPricingEngine | None = None,
-        duals: DualWeights | None = None,
-        stats: ReplayStats | None = None,
-        swap_state: list | None = None,
-    ) -> None:
+    def __init__(self, trace: RunTrace) -> None:
         super().__init__(trace)
         if trace.mode not in ("ufp", "repeat", "drain"):
             raise ValueError(f"not a path-mode trace: {trace.mode!r}")
-        if engine is not None:
-            # Sub-replayer: share the parent's scratch state (probes are
-            # strictly sequential, and checkpoints of both traces describe
-            # the same request pool).
-            self._engine = engine
-            self._duals = duals
-        else:
-            base = trace.checkpoints[0]
-            self._duals = base.duals.copy()
-            self._engine = PathPricingEngine(
-                trace.graph,
-                list(trace.requests),
-                self._duals,
-                tie_tolerance=1e-15,
-                index_tie_break=trace.mode != "repeat",
-                remove_selected=trace.mode != "repeat",
-            )
-        if stats is not None:
-            self.stats = stats
-        # Which declaration is currently swapped into the shared engine —
-        # shared with sub-replayers so any of them can undo a prior swap.
-        self._swap_state: list = swap_state if swap_state is not None else [None]
-        self._subs: dict[int, "TraceReplayer"] = {}
-
-    def _orig_ratio(self, index: int) -> float:
-        orig = self._trace.requests[index]
-        return orig.demand / orig.value
+        base = trace.checkpoints[0]
+        self._duals = base.duals.copy()
+        self._engine = PathPricingEngine(
+            trace.graph,
+            list(trace.requests),
+            self._duals,
+            tie_tolerance=1e-15,
+            index_tie_break=trace.mode != "repeat",
+            remove_selected=trace.mode != "repeat",
+        )
+        # Which declaration is currently swapped into the engine.
+        self._swapped: tuple | None = None
+        self._continuations: dict[int, _Continuation] = {}
 
     # -------------------------------------------------------------- #
     # Probes
     # -------------------------------------------------------------- #
     def probe_selected(self, index: int, request) -> bool:
-        """Whether the probe run selects ``index`` (memoized, early-exit)."""
+        """Whether the probe run selects ``index`` (threshold answer or
+        early-exit replay)."""
         if request.value <= 0.0:
             return False
-        key = (index, float(request.demand), float(request.value))
-        cached = self._probe_memo.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
         self.stats.probes += 1
         selected, _, _ = self._probe(index, request, want_rounds=False)
-        self._probe_memo[key] = selected
         return selected
 
     def probe(self, index: int, request) -> Allocation:
@@ -813,8 +775,8 @@ class TraceReplayer(_ReplayerBase):
         self, index: int, request, *, want_rounds: bool
     ) -> tuple[bool, list[TraceRound], bool]:
         """Returns ``(selected, rounds, resumed)``; ``resumed`` is False when
-        the probe run was proven identical to the recorded run (no state was
-        touched)."""
+        no state was touched (the probe run was proven identical to the
+        recorded run, or answered by threshold)."""
         t = self._trace
         total = t.num_rounds
         if t.initial_dist[index] == math.inf:
@@ -828,27 +790,27 @@ class TraceReplayer(_ReplayerBase):
             self.stats.trivial_probes += 1
             return False, list(t.rounds) if want_rounds else [], False
 
-        if not want_rounds and div == t.first_win.get(index, -1):
-            # Bisection territory: every probe of this winner that stays
-            # inert up to its winning round shares the excluded
-            # continuation.  Recording it costs no more than one direct
-            # replay (the continuation is the probe run with the winner
-            # held out), so it is built on first use and every later probe
-            # of this winner is answered against it.
-            sub = self._subs.get(index)
-            if sub is None:
-                sub = self._subs[index] = self._record_excluded(index)
-            return sub._probe(index, request, want_rounds=False)
+        if not want_rounds and index in t.first_win:
+            # Bisection territory: until the probe wins a round, the probe
+            # run is the base run and then the winner's excluded
+            # continuation.  Record it only once a probe can use it: one
+            # that diverges before the declaration does replays instead.
+            continuation = self._continuations.get(index)
+            if continuation is None:
+                declared = t.requests[index]
+                start = self._divergence(index, declared.demand, declared.value)
+                if div >= start:
+                    continuation = self._record_excluded(index, start)
+                    self._continuations[index] = continuation
+            if continuation is not None and div >= continuation.start:
+                selected = continuation.answer(request.demand, request.value)
+                if selected is not None:
+                    self.stats.threshold_answers += 1
+                    return selected, [], False
 
         checkpoint = self._checkpoint_for(div)
         self._restore(index, request, checkpoint)
-        start = checkpoint.round_index
-        for r in range(start, div):
-            tr = t.rounds[r]
-            self._engine.replay_commit(tr.index, tr.sorted_edge_array, tr.edge_ids)
-        self.stats.rounds_skipped += start
-        self.stats.rounds_replayed += div - start
-
+        self._replay_prefix(checkpoint, div)
         selected, suffix = self._run_suffix(index, div, want_rounds)
         rounds: list[TraceRound] = []
         if want_rounds:
@@ -858,163 +820,104 @@ class TraceReplayer(_ReplayerBase):
 
     def _tail_possible(self, index: int, request) -> bool:
         """Could the probe still be selected *after* an identically-replayed
-        horizon?  Offline/greedy base traces provably end identically with
-        the probed request unselected (it is pending and routable, so the
-        run ended on the budget or iteration rule — request-independent).
+        horizon?  Offline/greedy traces provably end identically with the
+        probed request unselected (it is pending and routable, so the run
+        ended on the budget or iteration rule — request-independent).
         Threshold drains may admit the probe post-horizon unless its score
-        bound already exceeds the threshold; excluded-run sub-traces ended
-        on pool exhaustion have the probe as the only routable request
-        left, which the trivial path answers via the recorded end state.
+        bound already exceeds the threshold.
         """
         t = self._trace
         if t.mode == "drain" and t.admission == "threshold":
             lb = self._probe_lb(index, request.demand, request.value)
             return lb <= _upper(t.score_threshold)
-        if t.end_reason in ("exhausted", "no_routable"):
-            return True
         return False
 
-    def _record_excluded(self, index: int) -> "TraceReplayer":
-        """Record the continuation from ``index``'s winning round with
-        ``index`` removed from the pool, as a replayable sub-trace."""
-        t = self._trace
-        k = t.first_win[index]
-        checkpoint = self._checkpoint_for(k)
-        self._restore(index, t.requests[index], checkpoint)
+    def _replay_prefix(self, checkpoint: TraceCheckpoint, stop: int) -> None:
+        """Re-apply the recorded rounds from ``checkpoint`` up to ``stop``."""
+        rounds = self._trace.rounds
         engine = self._engine
-        duals = self._duals
-        for r in range(checkpoint.round_index, k):
-            tr = t.rounds[r]
+        for r in range(checkpoint.round_index, stop):
+            tr = rounds[r]
             engine.replay_commit(tr.index, tr.sorted_edge_array, tr.edge_ids)
         self.stats.rounds_skipped += checkpoint.round_index
-        self.stats.rounds_replayed += k - checkpoint.round_index
-        # The winner's exact distance at round k: with the prefix pinned,
-        # every inert probe's score from here on is >= (d'/v') * dist_k —
-        # a far tighter bound than the base trace's initial distance.
-        dist_k = engine.current_distance(index)
-        engine.drop_request(index)
+        self.stats.rounds_replayed += stop - checkpoint.round_index
 
-        initial = [math.inf] * len(t.requests)
-        initial[index] = dist_k
-        recorder = TraceRecorder()
-        recorder.begin_path_run(
-            mode=t.mode,
-            engine=engine,
-            duals=duals,
-            epsilon=t.epsilon,
-            iteration_cap=t.iteration_cap,
-            instance=t.instance,
-            requests=t.requests,
-            admission=t.admission,
-            score_threshold=t.score_threshold,
-            initial_dist=initial,
-            start_iteration=k,
-        )
-        observations: list[tuple[int, float]] = []
-        end_reason = self._drive_recording(
-            recorder, index, observations, start_iteration=k
-        )
-        recorder.finish(
-            engine,
-            duals,
-            stopped_by_budget=not duals.within_budget,
-            end_reason=end_reason,
-        )
-        sub_trace = recorder.trace
-        if observations:
-            # Exact distances of the excluded winner sampled along the
-            # continuation (dropped requests leave no heap entries for the
-            # harvest to pick up) — these make most not-selected probes
-            # provably inert segment by segment, i.e. free.
-            sub_trace.dist_obs[index] = observations
-        return TraceReplayer(
-            sub_trace,
-            engine=engine,
-            duals=duals,
-            stats=self.stats,
-            swap_state=self._swap_state,
-        )
-
-    #: Sample the excluded winner's exact distance every this many rounds
-    #: while recording a continuation (one cached-or-fresh tree lookup per
-    #: sample).
-    _OBSERVE_EVERY = 4
-
-    def _drive_recording(
-        self,
-        recorder: TraceRecorder,
-        index: int,
-        observations: list[tuple[int, float]],
-        *,
-        start_iteration: int,
-    ) -> str:
-        """Run the mode's greedy loop to quiescence on the live engine,
-        recording every round; returns how the run ended."""
+    def _record_excluded(self, index: int, start: int) -> _Continuation:
+        """Record winner ``index``'s exact distance and the winner score of
+        every round from ``start`` (its declaration's divergence round) on:
+        the base rounds up to its winning round, then the mode's greedy loop
+        run with ``index`` held out, and how that run ended.  Rounds before
+        ``start`` are provably clear for every bisection probe (their scores
+        only rise)."""
         t = self._trace
+        k = t.first_win[index]
+        declared = t.requests[index]
+        checkpoint = self._checkpoint_for(start)
+        self._restore(index, declared, checkpoint)
+        self._replay_prefix(checkpoint, start)
         engine = self._engine
         duals = self._duals
-        last_dist = self._trace.initial_dist[index]
-
-        def observe(local_round: int) -> None:
-            nonlocal last_dist
-            if local_round % self._OBSERVE_EVERY:
-                return
-            dist = engine.current_distance(index)
-            if dist > last_dist:
-                last_dist = dist
-                observations.append((local_round, _lower(dist)))
-
-        local_round = 0
-        if t.mode == "drain":
-            while engine.num_pending:
-                if not duals.within_budget:
-                    return "budget"
-                sel = engine.select()
-                if sel is None:
-                    return "no_routable"
-                if t.admission == "threshold" and sel.score > t.score_threshold:
-                    return "threshold"
-                recorder.record_selected(engine, sel)
-                engine.commit(sel)
-                recorder.record_committed(engine, duals)
-                self.stats.rounds_recomputed += 1
-                local_round += 1
-                observe(local_round)
-            return "exhausted"
-        iterations = start_iteration
+        dist: list[float] = []
+        scores: list[float] = []
+        for r in range(start, k):
+            tr = t.rounds[r]
+            dist.append(engine.current_distance(index))
+            scores.append(tr.score)
+            engine.replay_commit(tr.index, tr.sorted_edge_array, tr.edge_ids)
+        self.stats.rounds_replayed += k - start
+        engine.drop_request(index)
+        threshold = (
+            t.score_threshold
+            if t.mode == "drain" and t.admission == "threshold"
+            else math.inf
+        )
         cap = t.iteration_cap if t.iteration_cap is not None else math.inf
-        while engine.num_pending:
-            if iterations >= cap:
-                return "cap"
-            if not duals.within_budget:
-                return "budget"
+        iterations = k
+        # Each pass mirrors one round of the bounded_ufp / bounded_ufp_repeat
+        # loop or of repro.online.auction.drain_engine (drains have no cap).
+        while True:
+            if not engine.num_pending:
+                # Out of requests before any stop rule was checked: the
+                # probe run starts one more round only if both rules allow.
+                ends_open = duals.within_budget and iterations < cap
+                break
+            if iterations >= cap or not duals.within_budget:
+                ends_open = False
+                break
             sel = engine.select()
             if sel is None:
-                return "no_routable"
-            recorder.record_selected(engine, sel)
+                # Only unroutable requests left; both rules were checked.
+                ends_open = True
+                break
+            if sel.score > threshold:
+                # The winner is priced out, so is any probe scoring above
+                # the threshold; below it, the probe wins this select.
+                ends_open = True
+                break
+            dist.append(engine.current_distance(index))
+            scores.append(sel.score)
             engine.commit(sel)
-            recorder.record_committed(engine, duals)
             iterations += 1
-            self.stats.rounds_recomputed += 1
-            local_round += 1
-            observe(local_round)
-        return "exhausted"
+        self.stats.rounds_recomputed += iterations - k
+        if not ends_open:
+            return _Continuation(start, dist, scores, False)
+        if threshold == math.inf:
+            return _Continuation(start, dist, scores, True)
+        return _Continuation(
+            start, dist, scores, None, engine.current_distance(index), threshold
+        )
 
     def _restore(self, index: int, request, checkpoint: TraceCheckpoint) -> None:
         engine = self._engine
-        swapped = self._swap_state[0]
-        if swapped is not None:
-            prev_index, prev_request = swapped
-            engine.set_request(prev_index, prev_request)
-            self._swap_state[0] = None
+        if self._swapped is not None:
+            engine.set_request(*self._swapped)
+            self._swapped = None
         original = self._trace.requests[index]
         if request is not original:
             engine.set_request(index, request)
-            self._swap_state[0] = (index, original)
+            self._swapped = (index, original)
         self._duals.restore_from(checkpoint.duals)
         engine.restore(checkpoint.engine, drop_index=index)
-        # Excluded-run checkpoints carry the probed request as dropped.
-        engine.revive(index)
         engine.push_fresh(index)
 
     def _run_suffix(
@@ -1043,7 +946,7 @@ class TraceReplayer(_ReplayerBase):
                         break
         else:
             # Mirror the bounded_ufp / bounded_ufp_repeat main loop.
-            iterations = t.start_iteration + start_round
+            iterations = start_round
             cap = t.iteration_cap if t.iteration_cap is not None else math.inf
             while engine.num_pending and iterations < cap:
                 if not duals.within_budget:
@@ -1075,7 +978,12 @@ class TraceReplayer(_ReplayerBase):
 
 
 class BundleTraceReplayer(_ReplayerBase):
-    """Suffix-resume replays for ``bounded_muca`` traces (value probes)."""
+    """Suffix-resume replays for ``bounded_muca`` traces (value probes).
+
+    MUCA bisections keep a certificate instead of a recorded continuation:
+    :meth:`certified_selected_interval` answers the probes that provably
+    still win the recorded winning round.
+    """
 
     def __init__(self, trace: RunTrace) -> None:
         super().__init__(trace)
@@ -1086,25 +994,49 @@ class BundleTraceReplayer(_ReplayerBase):
         self._engine = BundlePricingEngine(trace.instance, self._duals)
         self._swapped_index: int | None = None
 
-    def _orig_ratio(self, index: int) -> float:
-        return 1.0 / self._trace.requests[index].value
-
     def _probe_score(self, demand: float, value: float, dist: float) -> float:
         # Bundle price / value, matching BundlePricingEngine._price.
         return dist / value
+
+    def certified_selected_interval(self, index: int) -> tuple[float, float] | None:
+        """Values certified *selected* for probes of bid ``index``.
+
+        Returns ``(v_min, v_max)``: every probe value in the interval is
+        sound to treat as selected without running it, or ``None`` when no
+        certificate exists.  A probe with ``v <= v_max`` is score-increasing
+        relative to the declaration, which keeps the prefix up to the
+        recorded winning round ``k`` unchanged; with ``v >= v_min`` its
+        score at round ``k`` (bounded via the recorded winning score) stays
+        a safety band below the recorded runner-up lower bound, so it still
+        wins round ``k``.  A ``v_min`` of ``0.0`` means round ``k`` had no
+        contender: the critical value is exactly zero.
+        """
+        t = self._trace
+        k = t.first_win.get(index)
+        if k is None:
+            return None
+        round_k = t.rounds[k]
+        orig = 1.0 / t.requests[index].value
+        if not math.isfinite(orig):
+            return None
+        v_max = _lower(1.0 / orig)
+        if round_k.runner_up_lb == math.inf:
+            return (0.0, v_max)
+        cap = _lower(round_k.runner_up_lb)
+        if cap <= 0.0:
+            return None
+        price_ub = _upper(round_k.score / orig)
+        v_min = _upper(price_ub / cap)
+        if v_min > v_max:
+            return None
+        return (v_min, v_max)
 
     def probe_selected(self, index: int, value: float) -> bool:
         """Whether the probe run (bid ``index`` declaring ``value``) wins."""
         value = float(value)
         if value <= 0.0:
             return False
-        key = (index, 1.0, value)
-        cached = self._probe_memo.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
         selected, _ = self._probe(index, value, want_winners=False)
-        self._probe_memo[key] = selected
         return selected
 
     def probe_winners(self, index: int, value: float) -> list[int]:

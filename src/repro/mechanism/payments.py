@@ -6,10 +6,16 @@ threshold (the *critical value*) above which ``r`` is selected and below
 which it is not.  Charging every winner its critical value — and losers
 nothing — yields the truthful mechanism of Theorem 2.3.
 
-The critical value is found by bisection over the declared value, re-running
-the allocation algorithm with the single declaration changed.  The number of
-algorithm runs per winner is ``O(log((v_hi - v_lo) / tol))``; experiments
-that only need allocations (not payments) should not compute payments.
+The critical value is found by bisection over the declared value, asking
+``O(log((v_hi - v_lo) / tol))`` times whether the allocation algorithm still
+selects the winner with that single declaration changed.  From scratch, each
+question is one algorithm run.  With ``use_trace=True`` the cost is instead
+one recorded base run plus, per winner, one recorded excluded continuation
+(the run from its winning round with it held out); the bisection's questions
+are then answered by comparing scores against that record, and only the rare
+probe inside the safety band runs a live replay (see
+:mod:`repro.core.trace`).  Experiments that only need allocations (not
+payments) should not compute payments.
 
 Every probe instance produced by :meth:`UFPInstance.replace_request` shares
 the original (immutable) graph object, so the probe runs all share one
@@ -69,8 +75,7 @@ def _bisect_critical_value(
 
     ``known_selected=True`` asserts the caller has already observed the agent
     selected at its declaration (e.g. it is iterating the winners of the
-    allocation the same deterministic algorithm produced, or a trace
-    replayer certified the declaration's winning round), so the redundant
+    allocation the same deterministic algorithm produced), so the redundant
     confirming run is skipped — one full mechanism re-run saved per winner.
     This is a *contract*, not a hint: with a predicate that is false at the
     declaration the bisection silently returns a meaningless bound instead
@@ -80,8 +85,8 @@ def _bisect_critical_value(
     quick-exit probe, the confirming probe and any midpoint that lands on a
     previously-probed value never run the mechanism twice.  The probe
     *sequence* is deliberately kept identical whatever extra knowledge the
-    caller has (trace certificates answer probes, they never move the
-    brackets), so the returned float is bit-identical across the
+    caller has (threshold answers and certificates answer probes, they never
+    move the brackets), so the returned float is bit-identical across the
     from-scratch, trace-replay and any-``jobs`` paths.
     """
     cache: dict[float, bool] = {}
@@ -196,30 +201,15 @@ def _trace_critical_value_ufp(
 
     ``declared`` defaults to the base run's declaration at ``index``; audit
     callers pass the misreported request instead (probes then vary its
-    value at its declared demand).  Two trace certificates answer bracket
-    probes without replaying — the probe *sequence* stays identical to the
-    from-scratch bisection, so the returned float is bit-identical:
-
-    * values inside :meth:`~repro.core.trace.TraceReplayer
-      .certified_selected_interval` are selected by the recorded winning
-      round's score margin;
-    * values at or below :meth:`~repro.core.trace.TraceReplayer
-      .not_selected_below` can never be admitted (online threshold policy).
+    value at its declared demand).  Most probes are answered by threshold
+    from the winner's recorded excluded continuation (see
+    :class:`~repro.core.trace.TraceReplayer`); the probe *sequence* is the
+    from-scratch bisection's, so the returned float is bit-identical.
     """
     declared = replayer.declared(index) if declared is None else declared
-    demand = declared.demand
-    cert = replayer.certified_selected_interval(index, demand)
-    floor = replayer.not_selected_below(index, demand)
-    stats = replayer.stats
 
     def is_selected_at(value: float) -> bool:
         if value <= 0.0:
-            return False
-        if cert is not None and cert[0] <= value <= cert[1]:
-            stats.certificate_hits += 1
-            return True
-        if value <= floor:
-            stats.certificate_hits += 1
             return False
         return replayer.probe_selected(index, declared.with_value(value))
 
@@ -242,11 +232,13 @@ def _trace_critical_value_muca(
     max_iterations: int = _MAX_BISECTIONS,
     declared_value: float | None = None,
 ) -> float:
-    """MUCA twin of :func:`_trace_critical_value_ufp` (value-only probes)."""
+    """MUCA twin of :func:`_trace_critical_value_ufp` (value-only probes).
+    Values inside :meth:`~repro.core.trace.BundleTraceReplayer
+    .certified_selected_interval` are answered selected without a replay."""
     declared = (
         replayer.declared(index).value if declared_value is None else declared_value
     )
-    cert = replayer.certified_selected_interval(index, 1.0)
+    cert = replayer.certified_selected_interval(index)
     stats = replayer.stats
 
     def is_selected_at(value: float) -> bool:

@@ -75,9 +75,9 @@ def batch_critical_values(
         same cost every probe used to pay) and answer the bisection probes
         by suffix-resume from each probe's divergence round instead of a
         full drain per probe; see :mod:`repro.core.trace`.  Payments are
-        bit-identical either way.  Under the ``"threshold"`` policy the
-        recorded admission score additionally certifies a sound
-        not-admitted-below bound, answering the deep-low probes for free.
+        bit-identical either way.  Under both policies most probes are
+        answered by threshold from each winner's recorded excluded
+        continuation, with no drain at all.
 
     Returns
     -------
